@@ -10,7 +10,7 @@ evaluates the algebraic identities the coefficients satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin, pi
+from math import cos, isfinite, sin, pi
 
 import numpy as np
 
@@ -61,6 +61,8 @@ class CanonicalParams:
 
     def __post_init__(self):
         x, y, z = float(self.x), float(self.y), float(self.z)
+        if not all(isfinite(v) for v in (x, y, z)):
+            raise DomainError(f"chamber angles must be finite (x={x!r}, y={y!r}, z={z!r})")
         if x > pi / 4 + CHAMBER_TOL:
             raise DomainError(f"chamber violation: x <= pi/4 failed (x={x!r})")
         if y > x + CHAMBER_TOL:

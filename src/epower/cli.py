@@ -70,10 +70,11 @@ class RunRecord:
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("EPOWER_SEED", "0")
     try:
-        return int(os.environ.get("EPOWER_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise DomainError(f"EPOWER_SEED={raw!r} is not an integer") from None
 
 
 def _record(command, params, result: EntanglingPowerResult, residuals, seed) -> RunRecord:

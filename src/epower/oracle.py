@@ -10,12 +10,10 @@ what makes it a one-sided certifier for the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import pi
+from dataclasses import astuple, dataclass
+from math import isfinite, pi
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .epower2q import ProductInputParams
 from .qmath import DomainError, StateVector
@@ -45,9 +43,19 @@ class SearchConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
+        if not all(isfinite(v) for v in astuple(self)):
+            raise DomainError("search configuration values must be finite")
         if (self.grid_points_per_axis < 1 or self.refinement_iterations < 1
                 or self.multi_starts < 1 or self.tolerance <= 0):
             raise DomainError("search configuration values must be positive")
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use so that scipy
+    (about 70 MiB of resident memory) loads only when the oracle runs."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def _check_unitary(U: np.ndarray) -> np.ndarray:
@@ -146,6 +154,8 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
     order = np.argsort(vals)[::-1][:8]
     grid_best = float(vals[order[0]])
     starts = [np.array([flat[k][i] for k in range(6)]) for i in order]
+
+    from scipy.stats import qmc
 
     halton = qmc.Halton(d=6, scramble=True, seed=cfg.seed)
     lows = np.array([b[0] for b in _BOUNDS])

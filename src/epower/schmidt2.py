@@ -4,13 +4,16 @@ Gates of the form |1><1| (x) I + |2><2| (x) diag(e^{i theta_j}) have
 Schmidt rank two, and their entangling power reduces to maximizing the
 quadratic form y({c_j}) = sum_{j>k} c_j c_k sin^2((theta_j - theta_k)/2)
 over the probability simplex, then mapping through a binary entropy.
+For n > 3 the maximum follows from the largest circular gap between the
+phases: it is 1/4 (one full ebit) when that gap is at most pi, and is
+reached on the best-separated phase pair otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, cos, sin, pi
+from math import comb, cos, isfinite, sin, pi
 
 import numpy as np
 
@@ -37,6 +40,8 @@ SIN2_ZERO_TOL = 1e-12
 NONNEG_TOL = 1e-12
 CERT_RESIDUAL_TOL = 1e-9
 ORACLE_FLAG_TOL = 1e-4
+# rounding slack on "largest circular gap <= pi"; M c = 1/2 then decides
+GAP_SLACK = 1e-12
 GRID_BUDGET = 200_000
 
 
@@ -54,6 +59,8 @@ class PhaseGateSpec:
         th = tuple(float(t) for t in self.thetas)
         if len(th) < 2:
             raise DomainError("phase gate needs at least two phases")
+        if not all(isfinite(t) for t in th):
+            raise DomainError(f"phases must be finite, got {th!r}")
         object.__setattr__(self, "thetas", th)
 
     @property
@@ -145,6 +152,23 @@ def _csc(u: float) -> float:
     return 1.0 / sin(u)
 
 
+def _stationary_weights(th) -> tuple[float, float, float] | None:
+    """Stationary point of the three-phase quadratic form, or None.
+
+    None when the pairwise sin^2 product vanishes (two phases coincide
+    mod 2 pi).  The weights are not clipped: a negative one means the
+    origin lies outside the triangle of the points e^{i theta}.
+    """
+    d = {(i, j): (th[i] - th[j]) / 2.0 for i in range(3) for j in range(3) if i != j}
+    if (sin(d[(0, 1)]) ** 2) * (sin(d[(1, 2)]) ** 2) * (sin(d[(2, 0)]) ** 2) <= SIN2_ZERO_TOL:
+        return None
+    return (
+        0.5 * cos(d[(1, 2)]) * _csc(d[(0, 1)]) * _csc(d[(0, 2)]),
+        0.5 * cos(d[(0, 2)]) * _csc(d[(1, 0)]) * _csc(d[(1, 2)]),
+        0.5 * cos(d[(0, 1)]) * _csc(d[(2, 0)]) * _csc(d[(2, 1)]),
+    )
+
+
 def n3_closed_form(theta1: float, theta2: float, theta3: float) -> N3Result:
     """Maximum of the quadratic form over the 3-simplex.
 
@@ -154,101 +178,52 @@ def n3_closed_form(theta1: float, theta2: float, theta3: float) -> N3Result:
     weights (1/2, 1/2) on the best-separated pair.
     """
     th = (theta1, theta2, theta3)
-    d = {(i, j): (th[i] - th[j]) / 2.0 for i in range(3) for j in range(3) if i != j}
-    prod = (sin(d[(0, 1)]) ** 2) * (sin(d[(1, 2)]) ** 2) * (sin(d[(2, 0)]) ** 2)
-    if prod > SIN2_ZERO_TOL:
-        vec = (
-            cos(d[(1, 2)]) * _csc(d[(0, 1)]) * _csc(d[(0, 2)]),
-            cos(d[(0, 2)]) * _csc(d[(1, 0)]) * _csc(d[(1, 2)]),
-            cos(d[(0, 1)]) * _csc(d[(2, 0)]) * _csc(d[(2, 1)]),
-        )
-        if all(v >= -NONNEG_TOL for v in vec):
-            weights = tuple(max(v / 2.0, 0.0) for v in vec)
-            total = sum(weights)
-            if abs(total - 1.0) > 1e-10:
-                raise RuntimeError(f"stationary weights sum to {total!r}, not 1")
-            return N3Result(0.25, "interior", weights, None)
+    weights = _stationary_weights(th)
+    # the three-phase sign test is on the doubled weights, to NONNEG_TOL
+    if weights is not None and min(weights) >= -NONNEG_TOL / 2:
+        weights = tuple(max(w, 0.0) for w in weights)
+        total = sum(weights)
+        if abs(total - 1.0) > 1e-10:
+            raise RuntimeError(f"stationary weights sum to {total!r}, not 1")
+        return N3Result(0.25, "interior", weights, None)
     pairs = list(combinations(range(3), 2))
-    vals = [sin(d[(i, j)]) ** 2 for i, j in pairs]
+    vals = [sin((th[i] - th[j]) / 2.0) ** 2 for i, j in pairs]
     best = int(np.argmax(vals))
     return N3Result(0.25 * vals[best], "pair", None, pairs[best])
 
 
-def _free_value_grid(n_free: int, resolution: int):
-    """All tuples of multiples of 1/resolution with sum at most 1."""
-    if n_free == 0:
-        yield ()
-        return
+def rank3_certificate(spec: PhaseGateSpec):
+    """Simplex weights certifying the maximum value 1/4, or None.
 
-    def rec(prefix, remaining):
-        if len(prefix) == n_free - 1:
-            for k in range(remaining + 1):
-                yield prefix + (k,)
-            return
-        for k in range(remaining + 1):
-            yield from rec(prefix + (k,), remaining - k)
-
-    for counts in rec((), resolution):
-        yield tuple(k / resolution for k in counts)
-
-
-def rank3_certificate(spec: PhaseGateSpec, grid_resolution: int = 12):
-    """Search for a simplex point certifying the maximum value 1/4.
-
-    Scans every phase triple with nondegenerate pairwise differences:
-    first with all remaining weights zero (the three-phase stationary
-    point), then over a coarse grid of the free weights.  A candidate is
-    accepted only if it is nonnegative, sums to one and solves the
-    stationarity system to 1e-9.  Returns the weights, or None.
+    Largest-gap closed form: y(c) = (1 - |sum_j c_j e^{i theta_j}|^2) / 4
+    reaches 1/4 exactly when the origin lies in the convex hull of the
+    points e^{i theta_j}, that is when no circular gap between the sorted
+    phases exceeds pi.  Then for some start phase p, with q the last phase
+    at or below p + pi and r the phase after q, the triangle (p, q, r)
+    holds the origin, and its three-phase stationary point is the
+    candidate.  A candidate is accepted only if it sums to one and solves
+    M c = 1/2 to 1e-9.
     """
     th = np.asarray(spec.thetas)
     n = spec.n
+    wrapped = np.mod(th, 2 * pi)
+    order = np.argsort(wrapped, kind="stable")
+    ring = wrapped[order]
+    if np.diff(ring, append=ring[0] + 2 * pi).max() > pi + GAP_SLACK:
+        return None
+    unrolled = np.concatenate([ring, ring + 2 * pi])
     m = m_matrix(spec)
-
-    def solve_triple(tri, free_idx, free_vals):
-        i1, i2, i3 = tri
-
-        def row(a, b, cc):
-            s = 0.5 * cos((th[b] - th[cc]) / 2.0)
-            for j, f in zip(free_idx, free_vals):
-                s -= sin((th[j] - th[b]) / 2.0) * sin((th[j] - th[cc]) / 2.0) * f
-            return s * _csc((th[a] - th[b]) / 2.0) * _csc((th[a] - th[cc]) / 2.0)
-
-        c = np.zeros(n)
-        c[list(free_idx)] = free_vals
-        c[i1] = row(i1, i2, i3)
-        c[i2] = row(i2, i1, i3)
-        c[i3] = row(i3, i1, i2)
-        if np.any(c < -NONNEG_TOL):
-            return None
-        if abs(c.sum() - 1.0) > CERT_RESIDUAL_TOL:
-            return None
-        if np.abs(m @ c - 0.5).max() > CERT_RESIDUAL_TOL:
-            return None
-        return np.clip(c, 0.0, None)
-
-    triples = []
-    for tri in combinations(range(n), 3):
-        i1, i2, i3 = tri
-        prod = (sin((th[i1] - th[i2]) / 2.0) ** 2
-                * sin((th[i2] - th[i3]) / 2.0) ** 2
-                * sin((th[i3] - th[i1]) / 2.0) ** 2)
-        if prod > SIN2_ZERO_TOL:
-            triples.append(tri)
-
-    for tri in triples:
-        free_idx = tuple(j for j in range(n) if j not in tri)
-        cand = solve_triple(tri, free_idx, (0.0,) * len(free_idx))
-        if cand is not None:
-            return cand
-    for tri in triples:
-        free_idx = tuple(j for j in range(n) if j not in tri)
-        if not free_idx:
+    for i in range(n):
+        q = int(np.searchsorted(unrolled, ring[i] + pi, side="right")) - 1
+        tri = [order[i], order[q % n], order[(q + 1) % n]]
+        weights = _stationary_weights(th[tri])
+        if weights is None or min(weights) < -NONNEG_TOL:
             continue
-        for free_vals in _free_value_grid(len(free_idx), grid_resolution):
-            cand = solve_triple(tri, free_idx, free_vals)
-            if cand is not None:
-                return cand
+        c = np.zeros(n)
+        c[tri] = weights
+        if (abs(c.sum() - 1.0) <= CERT_RESIDUAL_TOL
+                and np.abs(m @ c - 0.5).max() <= CERT_RESIDUAL_TOL):
+            return np.clip(c, 0.0, None)
     return None
 
 
@@ -276,11 +251,12 @@ def entangling_power_phase_gate(
 ) -> EntanglingPowerResult:
     """Entangling power of a two-sided controlled-phase gate.
 
-    n = 2 and n = 3 use the closed forms; larger n first searches for a
-    stationary simplex point certifying one full ebit and otherwise takes
-    the best phase pair.  With ``cross_check`` the independent simplex
-    oracle is run and discrepancies beyond 1e-4 are flagged in the
-    diagnostics (never silently absorbed).
+    n = 2 and n = 3 use the closed forms; larger n use the largest-gap
+    closed form: one full ebit, with certificate weights, when no circular
+    gap between the phases exceeds pi, and otherwise the best phase pair.
+    With ``cross_check`` the independent simplex oracle is run and
+    discrepancies beyond 1e-4 are flagged in the diagnostics (never
+    silently absorbed).
     """
     th = np.asarray(spec.thetas)
     n = spec.n
@@ -322,10 +298,6 @@ def entangling_power_phase_gate(
         diag["oracle_value"] = oracle_value
         diag["oracle_gap"] = oracle_value - value
         diag["oracle_flag"] = abs(oracle_value - value) > ORACLE_FLAG_TOL
-        # a near-1/4 oracle value without a stationary certificate means the
-        # triple search may be incomplete for this phase list
-        diag["missed_certificate_flag"] = (
-            diag.get("case") == "pair" and oracle_y >= 0.25 - 1e-6)
 
     return EntanglingPowerResult(
         value=value, method="closed_form", critical=critical, diagnostics=diag)

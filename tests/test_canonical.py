@@ -38,6 +38,14 @@ class TestChamber:
         with pytest.raises(DomainError, match=fragment.replace("<=", "<=")):
             CanonicalParams(*xyz)
 
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, index, bad):
+        xyz = [0.3, 0.2, 0.1]
+        xyz[index] = bad
+        with pytest.raises(DomainError, match="finite"):
+            CanonicalParams(*xyz)
+
     def test_strict_flag(self):
         assert CanonicalParams(0.5, 0.3, 0.1).strict
         assert not CanonicalParams(0.5, 0.0, 0.0).strict

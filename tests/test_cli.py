@@ -9,6 +9,25 @@ from epower.cli import main
 
 SWAP_ANGLE = "0.7853981633974483"
 
+# stdout of `compute --phases P --json` with the default seed, recorded
+# before the n > 3 solver became the largest-gap closed form
+PINNED_PHASE_OUTPUT = {
+    "0,1.5,3.0,4.5":
+        '{"command": "compute--phases", "critical": "stationary simplex point '
+        '(full ebit)", "method": "closed_form", "params": {"thetas": [0.0, 1.5, '
+        '3.0, 4.5]}, "residuals": {}, "seed": 0, "value_ebits": 1.0}\n',
+    "0.2,1.4,0.7,2.9,0.1":
+        '{"command": "compute--phases", "critical": "pair (3, 4) at weights '
+        '(1/2, 1/2)", "method": "closed_form", "params": {"thetas": [0.2, 1.4, '
+        '0.7, 2.9, 0.1]}, "residuals": {}, "seed": 0, "value_ebits": '
+        '0.9790596014837318}\n',
+    "0,0.5,1.0,3.141592653589793":
+        '{"command": "compute--phases", "critical": "stationary simplex point '
+        '(full ebit)", "method": "closed_form", "params": {"thetas": [0.0, 0.5, '
+        '1.0, 3.141592653589793]}, "residuals": {}, "seed": 0, "value_ebits": '
+        '1.0}\n',
+}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -79,6 +98,27 @@ class TestCompute:
         monkeypatch.setenv("EPOWER_SEED", "42")
         _, out, _ = run_cli(capsys, "compute", "--example2", "0.3", "--json")
         assert json.loads(out)["seed"] == 42
+
+    def test_bad_env_seed_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("EPOWER_SEED", "abc")
+        code, out, err = run_cli(capsys, "compute", "--phases", "0,3.14159", "--json")
+        assert code == 2
+        assert out == ""
+        assert "EPOWER_SEED" in err
+
+    @pytest.mark.parametrize("phases", ["0,0.3,2.0,4.5,nan", "0,nan"])
+    def test_non_finite_phases_exit_two(self, capsys, phases):
+        code, out, err = run_cli(capsys, "compute", "--phases", phases, "--json")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("phases", sorted(PINNED_PHASE_OUTPUT))
+    def test_phase_gate_output_pinned(self, capsys, monkeypatch, phases):
+        monkeypatch.delenv("EPOWER_SEED", raising=False)
+        code, out, _ = run_cli(capsys, "compute", "--phases", phases, "--json")
+        assert code == 0
+        assert out == PINNED_PHASE_OUTPUT[phases]
 
 
 class TestScan:

@@ -414,3 +414,11 @@ def test_product_input_validation():
         ProductInputParams(alpha=0.1, beta=0.1, mu=0.0)
     with pytest.raises(DomainError):
         ProductInputParams(alpha=0.1, beta=0.1, theta=7.0)
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "theta", "xi", "mu", "nu"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_product_input_rejects_non_finite(field, bad):
+    kwargs = {"alpha": 0.1, "beta": 0.1, field: bad}
+    with pytest.raises(DomainError):
+        ProductInputParams(**kwargs)

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from math import pi
 
+import epower
 from epower.canonical import CanonicalParams, assemble_unitary, coefficients_from_xyz
 from epower.epower2q import (
     ProductInputParams,
@@ -121,8 +126,26 @@ def test_local_unitary_invariance_quick(rng):
         assert abs(res.value - base) <= 1e-4
 
 
+def test_scipy_loads_only_with_the_oracle():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(epower.__file__))}
+    code = ("import sys, epower, epower.cli; "
+            "epower.entangling_power_phase_gate(epower.PhaseGateSpec((0.0, 1.0, 2.0, 4.0))); "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_search_config_validation():
     with pytest.raises(DomainError):
         SearchConfig(grid_points_per_axis=0)
     with pytest.raises(DomainError):
         SearchConfig(tolerance=0.0)
+
+
+@pytest.mark.parametrize("field", ["grid_points_per_axis", "refinement_iterations",
+                                   "multi_starts", "seed", "tolerance"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_search_config_rejects_non_finite(field, bad):
+    with pytest.raises(DomainError, match="finite"):
+        SearchConfig(**{field: bad})

@@ -159,11 +159,38 @@ class TestEntanglingPowerPhaseGate:
             spec = PhaseGateSpec(tuple(rng.uniform(0, 2 * pi, n)))
             res = entangling_power_phase_gate(spec, cross_check=True)
             assert not res.diagnostics["oracle_flag"]
-            assert not res.diagnostics["missed_certificate_flag"]
 
     def test_rejects_single_phase(self):
         with pytest.raises(DomainError):
             PhaseGateSpec((0.0,))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_phase(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            PhaseGateSpec((0.0, 0.3, 2.0, bad))
+
+    @pytest.mark.parametrize("thetas,case", [
+        ((0.0, 0.5, 1.0, pi), "certificate"),
+        ((0.0, 0.7, 2.0, pi - 1e-9), "pair"),
+        ((0.0, 0.7, 2.0, pi - 1e-13), "certificate"),
+        ((0.0, 0.7, 2.0, pi + 1e-7), "certificate"),
+        ((0.0, 0.0, pi, pi), "pair"),
+        ((0.0, 2.0, 2.0, 4.0), "certificate"),
+        ((0.3, 0.3, 0.3, 1.0), "pair"),
+        ((0.0, 2 * pi, 4 * pi, 0.5, -2 * pi), "pair"),
+        ((0.0, 2.0 + 2 * pi, 4.0 - 4 * pi, 1.0), "certificate"),
+        ((8.464810659186385, 8.464810659186385, -0.9599673015830934,
+          -7.2431488711143865, -7.243207428011151), "certificate"),
+    ])
+    def test_largest_gap_boundary(self, thetas, case):
+        res = entangling_power_phase_gate(PhaseGateSpec(thetas))
+        assert res.diagnostics["case"] == case
+        if case == "certificate":
+            assert res.value == 1.0
+        else:
+            arc = max(abs(np.sin((a - b) / 2.0)) for a in thetas for b in thetas)
+            assert res.value == pytest.approx(
+                ebits_from_quadratic_max(0.25 * arc ** 2), abs=1e-14)
 
 
 class TestEbitsMap:
@@ -218,6 +245,45 @@ class TestCertificate:
 
     def test_no_certificate_for_clustered_phases(self):
         assert rank3_certificate(PhaseGateSpec((0.0, 0.1, 0.2, 0.3))) is None
+
+    def test_certificate_weights_achieve_quarter_n64(self):
+        spread, clustered = large_phase_lists(64)
+        spec = PhaseGateSpec(spread)
+        cert = rank3_certificate(spec)
+        assert np.abs(m_matrix(spec) @ cert - 0.5).max() <= 1e-9
+        assert y_value(spec, SimplexWeights(tuple(cert))) == pytest.approx(0.25, abs=1e-9)
+        assert rank3_certificate(PhaseGateSpec(clustered)) is None
+
+
+def large_phase_lists(n):
+    """One spread list (every gap below 4 pi / n) and one clustered list
+    (inside an arc of 2.5 < pi), seeded by n."""
+    gen = np.random.default_rng(n)
+    spread = (np.arange(n) + gen.uniform(0, 1, n)) * (2 * pi / n) + gen.uniform(-5, 5)
+    clustered = gen.uniform(-5, 5) + gen.uniform(0, 2.5, n)
+    return tuple(gen.permutation(spread)), tuple(clustered)
+
+
+class TestLargeN:
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_matches_simplex_oracle(self, n):
+        for thetas, case in zip(large_phase_lists(n), ("certificate", "pair")):
+            res = entangling_power_phase_gate(PhaseGateSpec(thetas), cross_check=True)
+            diag = res.diagnostics
+            assert diag["case"] == case
+            assert diag["oracle_y"] <= diag["max_y"] + 1e-12
+            assert diag["max_y"] - diag["oracle_y"] <= 1e-9
+            assert not diag["oracle_flag"]
+
+    def test_shift_and_permutation_invariance_n64(self, rng):
+        for thetas in large_phase_lists(64):
+            th = np.asarray(thetas)
+            base = entangling_power_phase_gate(PhaseGateSpec(thetas))
+            for variant in (th + rng.uniform(-5, 5), rng.permutation(th),
+                            th + 2 * pi * rng.integers(-3, 4, th.size)):
+                res = entangling_power_phase_gate(PhaseGateSpec(tuple(variant)))
+                assert res.diagnostics["case"] == base.diagnostics["case"]
+                assert res.value == pytest.approx(base.value, abs=1e-12)
 
 
 def test_phase_gate_matrix_unitary():
