@@ -14,7 +14,7 @@ from math import cos, isfinite, sin, pi
 
 import numpy as np
 
-from .qmath import DomainError, shannon_entropy
+from .qmath import DomainError, check_unitary, shannon_entropy
 
 __all__ = [
     "PAULI",
@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 COEFF_NORM_TOL = 1e-12
-UNITARY_TOL = 1e-10
 RANK_TOL = 1e-10
 CHAMBER_TOL = 1e-12
 
@@ -119,11 +118,7 @@ def coefficients_from_xyz(params: CanonicalParams) -> PauliCoefficients:
 def assemble_unitary(c: PauliCoefficients) -> np.ndarray:
     """4x4 matrix sum_j c_j sigma_j (x) sigma_j; rejects non-unitary input."""
     arr = c.as_array()
-    U = sum(arr[j] * _PAULI_KRON[j] for j in range(4))
-    dev = np.abs(U @ U.conj().T - np.eye(4)).max()
-    if dev > UNITARY_TOL:
-        raise DomainError(f"coefficients do not assemble to a unitary (dev {dev:.3e})")
-    return U
+    return check_unitary(sum(arr[j] * _PAULI_KRON[j] for j in range(4)))
 
 
 def x_shaped_matrix(x: float, y: float) -> np.ndarray:

@@ -32,7 +32,6 @@ from .epower2q import (
 )
 from .oracle import SearchConfig, brute_force_power
 from .qmath import DomainError
-from .results import EntanglingPowerResult
 from .schmidt2 import PhaseGateSpec, entangling_power_phase_gate, phase_gate_matrix
 
 __all__ = ["main", "RunRecord"]
@@ -69,25 +68,16 @@ class RunRecord:
         return json.dumps(payload, sort_keys=True)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("EPOWER_SEED", "0")
+def _seed(args) -> int:
+    """``--seed``, else EPOWER_SEED, else 0; a nonnegative integer."""
+    raw = os.environ.get("EPOWER_SEED", "0") if args.seed is None else args.seed
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise DomainError(f"EPOWER_SEED={raw!r} is not an integer") from None
-
-
-def _record(command, params, result: EntanglingPowerResult, residuals, seed) -> RunRecord:
-    return RunRecord(
-        command=command,
-        params=params,
-        value_ebits=result.value,
-        critical=result.critical,
-        method=result.method,
-        residuals=residuals,
-        seed=seed,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _print_record(rec: RunRecord, as_json: bool):
@@ -102,10 +92,13 @@ def _print_record(rec: RunRecord, as_json: bool):
 
 
 def _cmd_compute(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
 
     def conv(v):
-        v = float(v)
+        try:
+            v = float(v)
+        except ValueError:
+            raise DomainError(f"angle {v!r} is not a number") from None
         return radians(v) if args.deg else v
 
     residuals: dict = {}
@@ -149,7 +142,9 @@ def _cmd_compute(args) -> int:
         residuals["oracle_gap"] = oracle.value - result.value
         residuals["oracle_value"] = oracle.value
 
-    rec = _record(command, params, result, residuals, seed)
+    rec = RunRecord(command, params, value_ebits=result.value, critical=result.critical,
+                    method=result.method, residuals=residuals, seed=seed,
+                    timestamp=datetime.now(timezone.utc).isoformat())
     _print_record(rec, args.json)
     return 0
 
@@ -197,7 +192,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     results = verify_mod.run_all(seed=seed, samples=args.samples)
     failed = [r for r in results if not r.passed]
     if args.json:

@@ -23,7 +23,7 @@ from .canonical import (
     coefficients_from_xyz,
     schmidt_rank,
 )
-from .qmath import DensityMatrix, DomainError, shannon_entropy
+from .qmath import DensityMatrix, DomainError, entropy_bits, shannon_entropy
 from .results import EntanglingPowerResult
 
 __all__ = [
@@ -136,17 +136,12 @@ class DerivativeConstants:
 
     @classmethod
     def from_coefficients(cls, c: PauliCoefficients) -> "DerivativeConstants":
-        c0, c1, c2, c3 = c.as_array()
-        k = (c0 * np.conj(c3) + c3 * np.conj(c0)).real
-        return cls(
-            k=float(k),
-            b=float(abs(c0) ** 2 + abs(c3) ** 2),
-            l1=float(abs(c0 * c3) ** 2),
-            l2=float(abs(c1 * c2) ** 2),
-        )
+        b, _, k, _, l1, l2 = _constants(c)
+        return cls(k=k, b=b, l1=l1, l2=l2)
 
 
 def _constants(c: PauliCoefficients):
+    """Gate constants (b, a2, k, k2, l1, l2) of the closed-form spectrum."""
     c0, c1, c2, c3 = c.as_array()
     b = abs(c0) ** 2 + abs(c3) ** 2
     a2 = abs(c1) ** 2 + abs(c2) ** 2
@@ -187,13 +182,6 @@ def _spectrum_arrays(c: PauliCoefficients, alpha, beta):
     lo2, hi2 = _lambda_pair(t2, l2 * s_sq)
     lam = np.stack(np.broadcast_arrays(lo1, hi1, lo2, hi2), axis=-1)
     return lam, t1, t2
-
-
-def _entropy_last_axis(lam: np.ndarray) -> np.ndarray:
-    lam = np.clip(lam, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(lam > 0.0, lam * np.log2(np.where(lam > 0.0, lam, 1.0)), 0.0)
-    return -terms.sum(axis=-1) + 0.0
 
 
 def reduced_density_closed_form(c: PauliCoefficients, alpha: float, beta: float) -> DensityMatrix:
@@ -255,12 +243,12 @@ def line_profile_value(c: PauliCoefficients, alpha: float) -> float:
     """Entanglement at (alpha, pi/2 - alpha) for alpha in [0, pi/4]."""
     if not -1e-12 <= alpha <= pi / 4 + 1e-12:
         raise DomainError(f"alpha={alpha!r} outside [0, pi/4]")
-    return float(_entropy_last_axis(_line_lambdas(c, alpha)))
+    return float(entropy_bits(_line_lambdas(c, alpha)))
 
 
 def line_profile_values(c: PauliCoefficients, alphas) -> np.ndarray:
     """Vectorized line profile over an array of alpha values."""
-    return _entropy_last_axis(_line_lambdas(c, np.asarray(alphas, dtype=float)))
+    return entropy_bits(_line_lambdas(c, np.asarray(alphas, dtype=float)))
 
 
 def entanglement_grid(c: PauliCoefficients, alphas, betas) -> np.ndarray:
@@ -268,7 +256,7 @@ def entanglement_grid(c: PauliCoefficients, alphas, betas) -> np.ndarray:
     a = np.asarray(alphas, dtype=float)[:, None]
     b = np.asarray(betas, dtype=float)[None, :]
     lam, _, _ = _spectrum_arrays(c, a, b)
-    return _entropy_last_axis(lam)
+    return entropy_bits(lam)
 
 
 def _require_c2_eq_c3(c: PauliCoefficients, tol: float = 1e-10):
@@ -438,15 +426,21 @@ def conjecture_gap(x: float, y: float, grid_n: int = 4001) -> float:
     return float(vals.max() - max(vals[0], vals[-1]))
 
 
+def _example1_candidates(x: float) -> tuple[float, float]:
+    """Values of the equal-tail family at the product and at the maximally
+    entangled input."""
+    csq = sin(x) ** 2 * cos(x) ** 2
+    return (shannon_entropy([cos(2 * x) ** 2, sin(2 * x) ** 2]),
+            shannon_entropy([1 - 3 * csq, csq, csq, csq]))
+
+
 @lru_cache(maxsize=None)
 def example1_threshold(tol: float = 1e-10) -> float:
     """Crossover angle where the two candidate maxima of the equal-tail
     family agree (root near 0.1018), found by bisection on [0.01, pi/8]."""
 
     def diff(t: float) -> float:
-        prod = shannon_entropy([cos(2 * t) ** 2, sin(2 * t) ** 2])
-        csq = sin(t) ** 2 * cos(t) ** 2
-        me = shannon_entropy([1 - 3 * csq, csq, csq, csq])
+        prod, me = _example1_candidates(t)
         return prod - me
 
     lo, hi = 0.01, pi / 8
@@ -473,9 +467,7 @@ def example1_power(x: float) -> EntanglingPowerResult:
     if not 0.0 < x <= pi / 4 + 1e-12:
         raise DomainError(f"x={x!r} outside (0, pi/4]")
     x0 = example1_threshold()
-    v_prod = shannon_entropy([cos(2 * x) ** 2, sin(2 * x) ** 2])
-    csq = sin(x) ** 2 * cos(x) ** 2
-    v_me = shannon_entropy([1 - 3 * csq, csq, csq, csq])
+    v_prod, v_me = _example1_candidates(x)
     tie = abs(v_prod - v_me) <= TIE_TOL
     diag = {"threshold": x0, "product_value": v_prod,
             "max_entangled_value": v_me, "tie": tie}
@@ -536,7 +528,7 @@ def example1_line_entropy(yvar: float, csq: float) -> float:
     _check_e2_domain(csq)
     if not -1.0 <= yvar <= 1.0:
         raise DomainError(f"y={yvar!r} outside [-1, 1]")
-    return float(_entropy_last_axis(np.array(_example1_line_lambdas(yvar, csq))))
+    return float(entropy_bits(np.array(_example1_line_lambdas(yvar, csq))))
 
 
 def e2_derivative(yvar: float, csq: float) -> float:

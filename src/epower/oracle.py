@@ -16,7 +16,7 @@ from math import isfinite, pi
 import numpy as np
 
 from .epower2q import ProductInputParams
-from .qmath import DomainError, StateVector
+from .qmath import DomainError, StateVector, check_unitary, entropy_bits
 from .results import EntanglingPowerResult
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "product_pair_power",
 ]
 
-UNITARY_TOL = 1e-10
 _BOUNDS = ((0.0, pi / 2), (0.0, pi / 2), (0.0, 2 * pi), (0.0, 2 * pi),
            (0.0, pi / 2), (0.0, pi / 2))
 
@@ -48,6 +47,8 @@ class SearchConfig:
         if (self.grid_points_per_axis < 1 or self.refinement_iterations < 1
                 or self.multi_starts < 1 or self.tolerance <= 0):
             raise DomainError("search configuration values must be positive")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
 
 def minimize(fun, x0, **kwargs):
@@ -58,23 +59,13 @@ def minimize(fun, x0, **kwargs):
     return scipy_minimize(fun, x0, **kwargs)
 
 
-def _check_unitary(U: np.ndarray) -> np.ndarray:
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (4, 4):
-        raise DomainError(f"expected a 4x4 unitary, got shape {U.shape}")
-    dev = np.abs(U @ U.conj().T - np.eye(4)).max()
-    if dev > UNITARY_TOL:
-        raise DomainError(f"matrix deviates from unitary by {dev:.3e}")
-    return U
-
-
 def output_state(U: np.ndarray, params: ProductInputParams) -> StateVector:
     """Apply U to the (A, B) factors of the six-angle product input.
 
     Returns the 16-dimensional pure state with subsystem order
     (A, R_A, B, R_B); the gate acts as identity on the references.
     """
-    U = _check_unitary(U)
+    U = check_unitary(U)
     amps = _batch_output(
         U,
         np.array([params.alpha]), np.array([params.beta]),
@@ -103,19 +94,19 @@ def _batch_output(U, alpha, beta, theta, xi, mu, nu):
 def _batch_entropies(U, alpha, beta, theta, xi, mu, nu):
     out = _batch_output(U, alpha, beta, theta, xi, mu, nu).reshape(-1, 4, 4)
     rho = np.einsum("nmk,nml->nkl", out, out.conj())
-    ev = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(ev > 0.0, ev * np.log2(np.where(ev > 0.0, ev, 1.0)), 0.0)
-    return -terms.sum(axis=-1)
+    return entropy_bits(np.linalg.eigvalsh(rho))
+
+
+def _point_entropy(U, angles) -> float:
+    """Output entanglement for one input given as six scalar angles."""
+    return float(_batch_entropies(
+        U, *[np.atleast_1d(np.asarray(v, dtype=float)) for v in angles])[0])
 
 
 def entanglement_of_product_input(U, alpha, beta, theta=0.0, xi=0.0,
                                   mu=pi / 2, nu=pi / 2) -> float:
     """Output entanglement across (A, R_A) : (B, R_B) for one input."""
-    U = _check_unitary(U)
-    args = [np.atleast_1d(np.asarray(v, dtype=float))
-            for v in (alpha, beta, theta, xi, mu, nu)]
-    return float(_batch_entropies(U, *args)[0])
+    return _point_entropy(check_unitary(U), (alpha, beta, theta, xi, mu, nu))
 
 
 def _grid_axes(cfg: SearchConfig):
@@ -139,7 +130,7 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
         bound on the true entangling power; diagnostics carry the grid
         stage maximum, the refined angles and the evaluation count.
     """
-    U = _check_unitary(U)
+    U = check_unitary(U)
     ab, mn, ph = _grid_axes(cfg)
     grids = np.meshgrid(ab, ab, ph, ph, mn, mn, indexing="ij")
     flat = [g.ravel() for g in grids]
@@ -163,8 +154,7 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
     starts.extend(lows + (highs - lows) * halton.random(cfg.multi_starts))
 
     def objective(v):
-        return -float(_batch_entropies(
-            U, *[np.array([v[k]]) for k in range(6)])[0])
+        return -_point_entropy(U, v)
 
     best_val, best_x, n_evals, converged = grid_best, starts[0], n_grid, True
     for x0 in starts:
@@ -206,7 +196,7 @@ def product_pair_power(U: np.ndarray, grid_n: int = 201) -> float:
     Grid over (alpha, beta) plus a local 2-D refinement; used to measure
     how much the unrestricted search gains over the reduced family.
     """
-    U = _check_unitary(U)
+    U = check_unitary(U)
     ab = np.linspace(0.0, pi / 2, grid_n)
     A, B = np.meshgrid(ab, ab, indexing="ij")
     zeros = np.zeros(A.size)
@@ -216,9 +206,7 @@ def product_pair_power(U: np.ndarray, grid_n: int = 201) -> float:
     x0 = np.array([A.ravel()[i], B.ravel()[i]])
 
     def objective(v):
-        return -float(_batch_entropies(
-            U, np.array([v[0]]), np.array([v[1]]), np.zeros(1), np.zeros(1),
-            np.array([pi / 2]), np.array([pi / 2]))[0])
+        return -_point_entropy(U, (v[0], v[1], 0.0, 0.0, pi / 2, pi / 2))
 
     res = minimize(objective, x0, method="Nelder-Mead",
                    bounds=_BOUNDS[:2],

@@ -1,13 +1,15 @@
 """Foundation numerics for small quantum systems.
 
 Probability vectors, density matrices and pure states of a few qubits,
-with base-2 entropies, partial traces and majorization tests.  Everything
-here is a pure function of immutable inputs; matrices never exceed 16x16.
+with base-2 entropies, a unitarity check, partial traces and
+majorization tests.  Everything here is a pure function of immutable
+inputs; matrices never exceed 16x16.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -16,6 +18,8 @@ __all__ = [
     "ProbVector",
     "DensityMatrix",
     "StateVector",
+    "entropy_bits",
+    "check_unitary",
     "shannon_entropy",
     "von_neumann_entropy",
     "partial_trace",
@@ -30,6 +34,7 @@ SUM_TOL = 1e-6
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-9
 NORM_TOL = 1e-10
+UNITARY_TOL = 1e-10
 MAJORIZE_SLACK = 1e-12
 
 
@@ -37,12 +42,21 @@ class DomainError(ValueError):
     """An input violates a documented precondition."""
 
 
-def _entropy_base2(p: np.ndarray) -> float:
-    """-sum p log2 p with the 0 log 0 = 0 convention."""
-    p = p[p > 0.0]
-    if p.size == 0:
-        return 0.0
-    return float(-(p * np.log2(p)).sum() + 0.0)  # + 0.0 kills negative zero
+def entropy_bits(p):
+    """-sum p log2 p over the last axis; entries <= 0 contribute 0."""
+    p = np.asarray(p, dtype=float)
+    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1) + 0.0  # no -0.0
+
+
+def check_unitary(U) -> np.ndarray:
+    """U as a complex 4x4 array; DomainError unless U U^dagger = I."""
+    U = np.asarray(U, dtype=complex)
+    if U.shape != (4, 4):
+        raise DomainError(f"expected a 4x4 unitary, got shape {U.shape}")
+    dev = np.abs(U @ U.conj().T - np.eye(4)).max()
+    if dev > UNITARY_TOL:
+        raise DomainError(f"matrix deviates from unitary by {dev:.3e}")
+    return U
 
 
 @dataclass(frozen=True)
@@ -51,7 +65,7 @@ class ProbVector:
 
     Entries may carry rounding noise on input: values in [-1e-9, 0) are
     clamped to zero and the vector is renormalized when the total is
-    within 1e-6 of one.  Larger violations are rejected.
+    within 1e-6 of one.  Larger violations, NaN and inf are rejected.
     """
 
     entries: np.ndarray
@@ -60,11 +74,13 @@ class ProbVector:
         p = np.asarray(self.entries, dtype=float).ravel()
         if p.size == 0:
             raise DomainError("probability vector must be nonempty")
+        total = p.sum()
+        if not isfinite(total):  # some entry is NaN or infinite
+            raise DomainError(f"probability entries must be finite, got {p!r}")
         if np.any(p < -PROB_CLAMP):
             raise DomainError(
                 f"probability entry {p.min():.3e} below -{PROB_CLAMP:.0e}"
             )
-        total = p.sum()
         if abs(total - 1.0) > SUM_TOL:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
         p = np.clip(p, 0.0, 1.0)
@@ -87,6 +103,8 @@ class DensityMatrix:
         rho = np.asarray(self.entries, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise DomainError(f"density matrix must be square, got {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise DomainError("density matrix entries must be finite")
         dev = np.abs(rho - rho.conj().T).max()
         if dev > HERMITIAN_TOL:
             raise DomainError(f"matrix deviates from Hermitian by {dev:.3e}")
@@ -140,14 +158,15 @@ def shannon_entropy(p) -> float:
     """
     if not isinstance(p, ProbVector):
         p = ProbVector(np.asarray(p, dtype=float))
-    return _entropy_base2(p.entries)
+    # zeros left in would regroup numpy's pairwise sum and move the last bit
+    return float(entropy_bits(p.entries[p.entries > 0.0]))
 
 
 def von_neumann_entropy(rho) -> float:
     """Entropy in ebits of a density matrix: Shannon entropy of its spectrum."""
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(np.asarray(rho, dtype=complex))
-    return _entropy_base2(rho.eigenvalues)
+    return float(entropy_bits(rho.eigenvalues[rho.eigenvalues > 0.0]))
 
 
 def partial_trace(psi: StateVector, keep) -> DensityMatrix:

@@ -169,6 +169,14 @@ def _stationary_weights(th) -> tuple[float, float, float] | None:
     )
 
 
+def _pair_scan(th):
+    """Best-separated phase pair and its value 1/4 sin^2 of half the gap."""
+    pairs = list(combinations(range(len(th)), 2))
+    vals = [sin((th[i] - th[j]) / 2.0) ** 2 for i, j in pairs]
+    best = int(np.argmax(vals))
+    return pairs[best], 0.25 * vals[best]
+
+
 def n3_closed_form(theta1: float, theta2: float, theta3: float) -> N3Result:
     """Maximum of the quadratic form over the 3-simplex.
 
@@ -183,13 +191,12 @@ def n3_closed_form(theta1: float, theta2: float, theta3: float) -> N3Result:
     if weights is not None and min(weights) >= -NONNEG_TOL / 2:
         weights = tuple(max(w, 0.0) for w in weights)
         total = sum(weights)
-        if abs(total - 1.0) > 1e-10:
+        # near-antipodal triples round to 1 +- 1.2e-10; rank3_certificate's tolerance
+        if abs(total - 1.0) > CERT_RESIDUAL_TOL:
             raise RuntimeError(f"stationary weights sum to {total!r}, not 1")
         return N3Result(0.25, "interior", weights, None)
-    pairs = list(combinations(range(3), 2))
-    vals = [sin((th[i] - th[j]) / 2.0) ** 2 for i, j in pairs]
-    best = int(np.argmax(vals))
-    return N3Result(0.25 * vals[best], "pair", None, pairs[best])
+    pair, max_y = _pair_scan(th)
+    return N3Result(max_y, "pair", None, pair)
 
 
 def rank3_certificate(spec: PhaseGateSpec):
@@ -235,13 +242,6 @@ def ebits_from_quadratic_max(y: float) -> float:
     return shannon_entropy([(1.0 - r) / 2.0, (1.0 + r) / 2.0])
 
 
-def _pair_scan(th: np.ndarray):
-    pairs = list(combinations(range(len(th)), 2))
-    vals = [sin((th[i] - th[j]) / 2.0) ** 2 for i, j in pairs]
-    best = int(np.argmax(vals))
-    return pairs[best], 0.25 * vals[best]
-
-
 def entangling_power_phase_gate(
     spec: PhaseGateSpec,
     *,
@@ -262,7 +262,7 @@ def entangling_power_phase_gate(
     n = spec.n
     diag: dict = {}
     if n == 2:
-        max_y = 0.25 * sin((th[0] - th[1]) / 2.0) ** 2
+        _, max_y = _pair_scan(th)
         critical = "pair (0, 1) at weights (1/2, 1/2)"
         diag["weights"] = (0.5, 0.5)
     elif n == 3:

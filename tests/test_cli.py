@@ -28,6 +28,28 @@ PINNED_PHASE_OUTPUT = {
         '1.0}\n',
 }
 
+# stdout recorded before the numeric kernels were merged
+PINNED_LINE_SCAN = (
+    "alpha,E\n0.0,0.9624363026310064\n0.19634954084936207,1.013144098148465\n"
+    "0.39269908169872414,1.2127516957971425\n0.5890486225480862,1.4508204036241703\n"
+    "0.7853981633974483,1.5544370141056678\n")
+PINNED_VERIFY_JSON = (
+    '{"checks": [{"detail": "max residual 3.331e-16 over 10 strict chamber points '
+    '(tol 1e-12)", "findings": [], "name": "coefficient identities", "passed": true}, '
+    '{"detail": "max closed-form vs eigensolver deviation 3.331e-16 over 10 samples '
+    '(tol 1e-10)", "findings": [], "name": "spectrum equivalence", "passed": true}, '
+    '{"detail": "max |analytic - central difference| 5.079e-10 over 2 interior points '
+    '(tol 1e-6)", "findings": [], "name": "analytic derivatives", "passed": true}, '
+    '{"detail": "max 2-D surface excess over the alpha+beta=pi/2 line 0.000e+00 over 1 '
+    'gates (tol 1e-6)", "findings": [], "name": "line necessity", "passed": true}, '
+    '{"detail": "max numeric rank 3 over 2 specs up to n=12 (bound 3)", "findings": [], '
+    '"name": "phase-matrix rank bound", "passed": true}, {"detail": "max |closed - '
+    'oracle| 0.000e+00 over 5 triples (tol 1e-6)", "findings": [], "name": "three-phase '
+    'closed form vs simplex oracle", "passed": true}, {"detail": "max interior excess '
+    '0.000e+00 over 1 gates; 0 finding(s) above 1e-9 (reported, not failed)", '
+    '"findings": [], "name": "edge-maximum conjecture harness", "passed": true}], '
+    '"passed": true, "samples": 10, "seed": 0}\n')
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -113,6 +135,39 @@ class TestCompute:
         assert out == ""
         assert "finite" in err
 
+    def test_near_antipodal_triple(self, capsys):
+        # the stationary weights sum to 1 - 1.2e-10, within the 1e-9 tolerance
+        code, out, _ = run_cli(
+            capsys, "compute", "--phases",
+            "8.464810659186385,-0.9599673015830934,-7.2431488711143865", "--json")
+        assert code == 0
+        assert json.loads(out)["value_ebits"] == 1.0
+
+    @pytest.mark.parametrize("phases", ["0,", "0,abc"])
+    def test_malformed_phases_exit_two(self, capsys, phases):
+        code, out, err = run_cli(capsys, "compute", "--phases", phases)
+        assert code == 2
+        assert out == ""
+        assert "not a number" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--xyz", "0.6", "0.3", "0.3", "--verify", "--seed", "-1"),
+        ("compute", "--phases", "0,1", "--seed", "-1"),
+        ("verify", "--seed", "-1"),
+    ])
+    def test_negative_seed_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "nonnegative" in err
+
+    def test_negative_env_seed_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("EPOWER_SEED", "-2")
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 2
+        assert out == ""
+        assert "nonnegative" in err
+
     @pytest.mark.parametrize("phases", sorted(PINNED_PHASE_OUTPUT))
     def test_phase_gate_output_pinned(self, capsys, monkeypatch, phases):
         monkeypatch.delenv("EPOWER_SEED", raising=False)
@@ -156,6 +211,12 @@ class TestScan:
         assert len(vals) == 31 * 31
         assert vals.min() >= -1e-9
 
+    def test_line_output_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "line", "--x", "0.6", "--y", "0.3",
+                               "--n", "5")
+        assert code == 0
+        assert out == PINNED_LINE_SCAN
+
     def test_bad_range_exits_two(self, capsys):
         assert run_cli(capsys, "scan", "line", "--x", "0.6", "--y", "0.3",
                        "--n", "1")[0] == 2
@@ -174,6 +235,12 @@ class TestVerify:
         assert out1 == out2
         payload = json.loads(out1)
         assert payload["passed"]
+
+    def test_json_output_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--samples", "10", "--seed", "0",
+                               "--json")
+        assert code == 0
+        assert out == PINNED_VERIFY_JSON
 
     def test_injected_sign_bug_fails_spectrum_check(self, capsys, monkeypatch):
         # flipping the sign of the second block trace must be caught by the

@@ -143,6 +143,11 @@ def test_search_config_validation():
         SearchConfig(tolerance=0.0)
 
 
+def test_search_config_rejects_negative_seed():
+    with pytest.raises(DomainError, match="nonnegative"):
+        SearchConfig(seed=-1)
+
+
 @pytest.mark.parametrize("field", ["grid_points_per_axis", "refinement_iterations",
                                    "multi_starts", "seed", "tolerance"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

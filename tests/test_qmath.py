@@ -7,6 +7,8 @@ from epower.qmath import (
     DomainError,
     ProbVector,
     StateVector,
+    check_unitary,
+    entropy_bits,
     majorizes,
     partial_trace,
     shannon_entropy,
@@ -48,6 +50,55 @@ class TestShannonEntropy:
     def test_renormalizes_small_drift(self):
         p = ProbVector(np.array([0.5 + 3e-7, 0.5]))
         assert p.entries.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestEntropyBits:
+    def test_batch_matches_shannon_entropy_bitwise(self, rng):
+        rows = rng.dirichlet(np.ones(4), size=300)
+        rows[::2, 1] = 0.0
+        rows[::3, 3] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        vectors = [ProbVector(r) for r in rows]
+        batch = entropy_bits(np.array([v.entries for v in vectors]))
+        assert batch.shape == (300,)
+        assert batch.tolist() == [shannon_entropy(v) for v in vectors]
+
+    def test_nonpositive_entries_contribute_zero(self):
+        assert entropy_bits([0.5, 0.0, 0.5, -1e-3]) == 1.0
+        assert entropy_bits([[0.25] * 4, [1.0, 0.0, -0.0, -1e-12]]).tolist() == [2.0, 0.0]
+
+    def test_zero_entropy_is_not_negative_zero(self):
+        assert np.copysign(1.0, entropy_bits([1.0, 0.0])) == 1.0
+
+
+class TestCheckUnitary:
+    def test_accepts_unitary(self, rng):
+        u = random_unitary(rng, 4)
+        np.testing.assert_array_equal(check_unitary(u), u)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (16,)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(DomainError, match="expected a 4x4 unitary"):
+            check_unitary(np.ones(shape))
+
+    def test_rejects_non_unitary(self):
+        with pytest.raises(DomainError, match="deviates from unitary"):
+            check_unitary(np.diag([1.0, 1.0, 1.0, 1.0 + 1e-9]))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_entropies_reject_non_finite(bad):
+    with pytest.raises(DomainError, match="finite"):
+        shannon_entropy([bad, 1.0])
+    with pytest.raises(DomainError, match="finite"):
+        ProbVector(np.array([0.5, bad, 0.5]))
+    with pytest.raises(DomainError, match="finite"):
+        von_neumann_entropy(np.diag([bad, 1.0]))
+    with pytest.raises(DomainError, match="finite"):
+        DensityMatrix(np.array([[1.0, bad], [bad, 0.0]]))
 
 
 class TestVonNeumannEntropy:

@@ -21,6 +21,20 @@ from epower.schmidt2 import (
 )
 
 EQUILATERAL = (0.0, 2 * pi / 3, 4 * pi / 3)
+# an antipodal pair plus a near-copy of one end: the stationary weights
+# sum to 1 - 1.2e-10 here
+NEAR_ANTIPODAL = (8.464810659186385, -0.9599673015830934, -7.2431488711143865)
+
+
+def near_antipodal_triple(rng):
+    """Phases a, a + pi + d1 and a near-copy of the second, 2 pi aliased."""
+    a = rng.uniform(-7.0, 7.0)
+    d1 = rng.choice([-1, 1]) * 10 ** rng.uniform(-16, -6)
+    d2 = rng.choice([-1, 1]) * 10 ** rng.uniform(-7, -4)
+    k1, k2 = rng.integers(-2, 3, 2)
+    th = [a, a + pi + d1 + 2 * pi * k1, a + pi + d1 + d2 + 2 * pi * k2]
+    rng.shuffle(th)
+    return tuple(th)
 
 
 class TestYValue:
@@ -108,6 +122,22 @@ class TestN3ClosedForm:
         res = n3_closed_form(0.0, pi, pi)
         assert res.case == "pair"
         assert res.max_y == pytest.approx(0.25, abs=1e-15)
+
+    def test_near_antipodal_interior(self):
+        res = n3_closed_form(*NEAR_ANTIPODAL)
+        assert res.case == "interior"
+        assert res.max_y == 0.25
+        assert sum(res.weights) == pytest.approx(1.0, abs=1e-9)
+
+    def test_near_antipodal_family_matches_oracle(self):
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(500):
+            th = near_antipodal_triple(rng)
+            closed = ebits_from_quadratic_max(n3_closed_form(*th).max_y)
+            oracle_y, _ = simplex_oracle(PhaseGateSpec(th))
+            worst = max(worst, abs(closed - ebits_from_quadratic_max(min(oracle_y, 0.25))))
+        assert worst <= 1e-9
 
     def test_matches_oracle_on_random_triples(self, rng):
         worst = 0.0
