@@ -219,11 +219,9 @@ def verify_identities(params: CanonicalParams) -> IdentityReport:
     return IdentityReport(tuple(res), tuple(viol), params.strict)
 
 
-def schmidt_rank(c: PauliCoefficients, tol: float = RANK_TOL) -> int:
-    """Number of coefficients with |c_j| above ``tol`` (1, 2, 3 or 4)."""
-    if tol <= 0:
-        raise DomainError("rank tolerance must be positive")
-    return int(np.count_nonzero(np.abs(c.as_array()) > tol))
+def schmidt_rank(c: PauliCoefficients) -> int:
+    """Number of coefficients with |c_j| above RANK_TOL (1, 2, 3 or 4)."""
+    return int(np.count_nonzero(np.abs(c.as_array()) > RANK_TOL))
 
 
 def schmidt_strength(c: PauliCoefficients) -> float:

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from math import pi, radians
 
 import numpy as np
@@ -43,7 +42,7 @@ class RunRecord:
 
     The JSON form carries exactly {command, params, value_ebits, critical,
     method, residuals, seed} so identical inputs and seed produce
-    byte-identical output; the timestamp stays on the in-memory record.
+    byte-identical output.
     """
 
     command: str
@@ -53,7 +52,6 @@ class RunRecord:
     method: str
     residuals: dict
     seed: int
-    timestamp: str
 
     def to_json(self) -> str:
         payload = {
@@ -143,8 +141,7 @@ def _cmd_compute(args) -> int:
         residuals["oracle_value"] = oracle.value
 
     rec = RunRecord(command, params, value_ebits=result.value, critical=result.critical,
-                    method=result.method, residuals=residuals, seed=seed,
-                    timestamp=datetime.now(timezone.utc).isoformat())
+                    method=result.method, residuals=residuals, seed=seed)
     _print_record(rec, args.json)
     return 0
 

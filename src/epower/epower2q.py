@@ -19,7 +19,6 @@ import numpy as np
 from .canonical import (
     CanonicalParams,
     PauliCoefficients,
-    RANK_TOL,
     coefficients_from_xyz,
     schmidt_rank,
 )
@@ -56,7 +55,8 @@ DEGENERATE_LAMBDA = 1e-12
 # below this the gap is dominated by rounding noise in the discriminant
 DEGENERATE_GAP = 1e-7
 LINE_GRID_N = 2001
-GOLDEN_TOL = 1e-10
+BRACKET_TOL = 1e-10
+C2_EQ_C3_TOL = 1e-10
 TIE_TOL = 1e-9
 
 _LIMIT_NOTE = (
@@ -171,11 +171,15 @@ def _lambda_pair(t, big_l):
 
 def _spectrum_arrays(c: PauliCoefficients, alpha, beta):
     """Broadcast closed-form spectrum; returns (lam[..., 4], t1, t2)."""
-    b, a2, k, k2, l1, l2 = _constants(c)
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    cc = np.cos(2 * alpha) * np.cos(2 * beta)
-    s_sq = np.sin(2 * alpha) ** 2 * np.sin(2 * beta) ** 2
+    return _block_spectrum(c, np.cos(2 * alpha) * np.cos(2 * beta),
+                           np.sin(2 * alpha) ** 2 * np.sin(2 * beta) ** 2)
+
+
+def _block_spectrum(c: PauliCoefficients, cc, s_sq):
+    """Spectrum from cc = cos 2a cos 2b and s_sq = sin^2 2a sin^2 2b."""
+    b, a2, k, k2, l1, l2 = _constants(c)
     t1 = b + cc * k
     t2 = a2 - cc * k2
     lo1, hi1 = _lambda_pair(t1, l1 * s_sq)
@@ -229,14 +233,9 @@ def entanglement_at(c: PauliCoefficients, alpha: float, beta: float) -> float:
 
 
 def _line_lambdas(c: PauliCoefficients, alpha):
-    """Spectrum on the line beta = pi/2 - alpha via the specialized traces."""
-    b, a2, k, k2, l1, l2 = _constants(c)
+    """Spectrum on the line beta = pi/2 - alpha, where cc = -cos^2 2a."""
     alpha = np.asarray(alpha, dtype=float)
-    u = np.cos(2 * alpha) ** 2
-    s4 = np.sin(2 * alpha) ** 4
-    lo1, hi1 = _lambda_pair(b - k * u, l1 * s4)
-    lo2, hi2 = _lambda_pair(a2 + k2 * u, l2 * s4)
-    return np.stack(np.broadcast_arrays(lo1, hi1, lo2, hi2), axis=-1)
+    return _block_spectrum(c, -np.cos(2 * alpha) ** 2, np.sin(2 * alpha) ** 4)[0]
 
 
 def line_profile_value(c: PauliCoefficients, alpha: float) -> float:
@@ -259,9 +258,9 @@ def entanglement_grid(c: PauliCoefficients, alphas, betas) -> np.ndarray:
     return entropy_bits(lam)
 
 
-def _require_c2_eq_c3(c: PauliCoefficients, tol: float = 1e-10):
-    if abs(c.c2 - c.c3) > tol:
-        raise DomainError(f"|c2 - c3| = {abs(c.c2 - c.c3):.3e} exceeds {tol:.0e}")
+def _require_c2_eq_c3(c: PauliCoefficients):
+    if abs(c.c2 - c.c3) > C2_EQ_C3_TOL:
+        raise DomainError(f"|c2 - c3| = {abs(c.c2 - c.c3):.3e} exceeds {C2_EQ_C3_TOL:.0e}")
 
 
 def boundary_maximum(c: PauliCoefficients, x: float, y: float) -> EntanglingPowerResult:
@@ -333,14 +332,14 @@ def partial_derivatives(c: PauliCoefficients, alpha: float, beta: float):
     return float(f_alpha), float(f_beta)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = GOLDEN_TOL):
+def _golden_max(f, lo: float, hi: float):
     """Golden-section maximization of a unimodal-enough scalar function."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c_pt = b - inv_phi * (b - a)
     d_pt = a + inv_phi * (b - a)
     fc, fd = f(c_pt), f(d_pt)
-    while b - a > tol:
+    while b - a > BRACKET_TOL:
         if fc >= fd:
             b, d_pt, fd = d_pt, c_pt, fc
             c_pt = b - inv_phi * (b - a)
@@ -353,13 +352,13 @@ def _golden_max(f, lo: float, hi: float, tol: float = GOLDEN_TOL):
     return x_best, f(x_best)
 
 
-def _maximize_line(c: PauliCoefficients, grid_n: int = LINE_GRID_N):
+def _maximize_line(c: PauliCoefficients):
     """Dense grid plus golden-section refinement of the line profile."""
-    alphas = np.linspace(0.0, pi / 4, grid_n)
+    alphas = np.linspace(0.0, pi / 4, LINE_GRID_N)
     vals = line_profile_values(c, alphas)
     i = int(np.argmax(vals))
     lo = alphas[max(i - 1, 0)]
-    hi = alphas[min(i + 1, grid_n - 1)]
+    hi = alphas[min(i + 1, LINE_GRID_N - 1)]
     a_star, v_star = _golden_max(lambda a: line_profile_value(c, a), lo, hi)
     if vals[i] > v_star:
         a_star, v_star = float(alphas[i]), float(vals[i])
@@ -376,7 +375,7 @@ def entangling_power_c2eqc3(x: float, y: float) -> EntanglingPowerResult:
     """
     params = CanonicalParams(x, y, y)
     c = coefficients_from_xyz(params)
-    if schmidt_rank(c, RANK_TOL) < 4:
+    if schmidt_rank(c) < 4:
         from .schmidt2 import PhaseGateSpec, entangling_power_phase_gate
 
         sub = entangling_power_phase_gate(PhaseGateSpec((0.0, 4.0 * x)))
@@ -435,7 +434,7 @@ def _example1_candidates(x: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def example1_threshold(tol: float = 1e-10) -> float:
+def example1_threshold() -> float:
     """Crossover angle where the two candidate maxima of the equal-tail
     family agree (root near 0.1018), found by bisection on [0.01, pi/8]."""
 
@@ -447,7 +446,7 @@ def example1_threshold(tol: float = 1e-10) -> float:
     f_lo, f_hi = diff(lo), diff(hi)
     if not (f_lo > 0 > f_hi):
         raise RuntimeError(f"bisection bracket invalid: f({lo})={f_lo}, f({hi})={f_hi}")
-    while hi - lo > tol:
+    while hi - lo > BRACKET_TOL:
         mid = 0.5 * (lo + hi)
         if diff(mid) > 0:
             lo = mid

@@ -33,19 +33,18 @@ _BOUNDS = ((0.0, pi / 2), (0.0, pi / 2), (0.0, 2 * pi), (0.0, 2 * pi),
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the brute-force search; deterministic for a fixed seed."""
+    """Budget and seed of the brute-force search; deterministic per seed."""
 
     grid_points_per_axis: int = 13
     refinement_iterations: int = 200
     multi_starts: int = 32
     seed: int = 0
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         if not all(isfinite(v) for v in astuple(self)):
             raise DomainError("search configuration values must be finite")
         if (self.grid_points_per_axis < 1 or self.refinement_iterations < 1
-                or self.multi_starts < 1 or self.tolerance <= 0):
+                or self.multi_starts < 1):
             raise DomainError("search configuration values must be positive")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
@@ -157,24 +156,20 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
         return -_point_entropy(U, v)
 
     best_val, best_x, n_evals, converged = grid_best, starts[0], n_grid, True
-    for x0 in starts:
-        res = minimize(
-            objective, x0, method="Nelder-Mead", bounds=_BOUNDS,
-            options={"maxiter": cfg.refinement_iterations,
-                     "xatol": 1e-8, "fatol": 1e-12},
-        )
+
+    def refine(x0, maxiter, xatol, fatol):
+        nonlocal best_val, best_x, n_evals, converged
+        res = minimize(objective, x0, method="Nelder-Mead", bounds=_BOUNDS,
+                       options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})
         n_evals += res.nfev
         if -res.fun > best_val:
             best_val, best_x = -res.fun, np.asarray(res.x)
             converged = bool(res.success)
+
+    for x0 in starts:
+        refine(x0, cfg.refinement_iterations, 1e-8, 1e-12)
     # final polish from the incumbent
-    res = minimize(objective, best_x, method="Nelder-Mead", bounds=_BOUNDS,
-                   options={"maxiter": 2 * cfg.refinement_iterations,
-                            "xatol": 1e-9, "fatol": 1e-13})
-    n_evals += res.nfev
-    if -res.fun > best_val:
-        best_val, best_x = -res.fun, np.asarray(res.x)
-        converged = bool(res.success)
+    refine(best_x, 2 * cfg.refinement_iterations, 1e-9, 1e-13)
 
     return EntanglingPowerResult(
         value=best_val, method="oracle",

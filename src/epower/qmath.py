@@ -121,10 +121,6 @@ class DensityMatrix:
         object.__setattr__(self, "entries", rho)
         object.__setattr__(self, "eigenvalues", ev)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class StateVector:

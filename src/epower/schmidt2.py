@@ -4,7 +4,7 @@ Gates of the form |1><1| (x) I + |2><2| (x) diag(e^{i theta_j}) have
 Schmidt rank two, and their entangling power reduces to maximizing the
 quadratic form y({c_j}) = sum_{j>k} c_j c_k sin^2((theta_j - theta_k)/2)
 over the probability simplex, then mapping through a binary entropy.
-For n > 3 the maximum follows from the largest circular gap between the
+For any n the maximum follows from the largest circular gap between the
 phases: it is 1/4 (one full ebit) when that gap is at most pi, and is
 reached on the best-separated phase pair otherwise.
 """
@@ -12,7 +12,7 @@ reached on the best-separated phase pair otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, cos, isfinite, sin, pi
 
 import numpy as np
@@ -43,6 +43,8 @@ ORACLE_FLAG_TOL = 1e-4
 # rounding slack on "largest circular gap <= pi"; M c = 1/2 then decides
 GAP_SLACK = 1e-12
 GRID_BUDGET = 200_000
+ORACLE_RESOLUTION = 60
+ASCENT_MAX_SWEEPS = 500
 
 
 @dataclass(frozen=True)
@@ -246,14 +248,13 @@ def entangling_power_phase_gate(
     spec: PhaseGateSpec,
     *,
     cross_check: bool = False,
-    oracle_resolution: int = 60,
     seed: int = 0,
 ) -> EntanglingPowerResult:
     """Entangling power of a two-sided controlled-phase gate.
 
-    n = 2 and n = 3 use the closed forms; larger n use the largest-gap
-    closed form: one full ebit, with certificate weights, when no circular
-    gap between the phases exceeds pi, and otherwise the best phase pair.
+    n = 3 uses its closed form; every other n uses the largest-gap closed
+    form: one full ebit, with certificate weights, when no circular gap
+    between the phases exceeds pi, and otherwise the best phase pair.
     With ``cross_check`` the independent simplex oracle is run and
     discrepancies beyond 1e-4 are flagged in the diagnostics (never
     silently absorbed).
@@ -261,11 +262,7 @@ def entangling_power_phase_gate(
     th = np.asarray(spec.thetas)
     n = spec.n
     diag: dict = {}
-    if n == 2:
-        _, max_y = _pair_scan(th)
-        critical = "pair (0, 1) at weights (1/2, 1/2)"
-        diag["weights"] = (0.5, 0.5)
-    elif n == 3:
+    if n == 3:
         res = n3_closed_form(*th)
         max_y = res.max_y
         if res.case == "interior":
@@ -291,8 +288,7 @@ def entangling_power_phase_gate(
     value = ebits_from_quadratic_max(max_y)
 
     if cross_check:
-        oracle_y, oracle_w = simplex_oracle(
-            spec, resolution=oracle_resolution, seed=seed)
+        oracle_y, _ = simplex_oracle(spec, seed=seed)
         oracle_value = ebits_from_quadratic_max(min(oracle_y, 0.25))
         diag["oracle_y"] = oracle_y
         diag["oracle_value"] = oracle_value
@@ -304,25 +300,17 @@ def entangling_power_phase_gate(
 
 
 def _simplex_grid(n: int, resolution: int) -> np.ndarray:
-    """All compositions of ``resolution`` into n parts, as weights."""
-    out = np.empty((comb(resolution + n - 1, n - 1), n))
-    row = 0
-
-    def rec(prefix, remaining, depth):
-        nonlocal row
-        if depth == n - 1:
-            out[row, :depth] = prefix
-            out[row, depth] = remaining
-            row += 1
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, depth + 1)
-
-    rec([], resolution, 0)
-    return out / resolution
+    """All compositions of ``resolution`` into n parts, as weights, in
+    lexicographic order: stars and bars over n - 1 of resolution + n - 1 slots."""
+    slots = resolution + n - 1
+    rows = comb(slots, n - 1)
+    bars = np.fromiter(chain.from_iterable(combinations(range(slots), n - 1)),
+                       dtype=float, count=rows * (n - 1)).reshape(rows, n - 1)
+    edges = np.hstack([np.full((rows, 1), -1.0), bars, np.full((rows, 1), float(slots))])
+    return (np.diff(edges, axis=1) - 1.0) / resolution
 
 
-def _coordinate_ascent(m: np.ndarray, c: np.ndarray, max_sweeps: int = 500) -> np.ndarray:
+def _coordinate_ascent(m: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Exact pairwise ascent for y = c^T M c / 2 on the simplex.
 
     Moving mass t from j to i changes y by t ((Mc)_i - (Mc)_j) - t^2 M_ij,
@@ -330,7 +318,7 @@ def _coordinate_ascent(m: np.ndarray, c: np.ndarray, max_sweeps: int = 500) -> n
     """
     c = c.copy()
     n = c.size
-    for _ in range(max_sweeps):
+    for _ in range(ASCENT_MAX_SWEEPS):
         improved = 0.0
         mc = m @ c
         for i in range(n):
@@ -353,11 +341,12 @@ def _coordinate_ascent(m: np.ndarray, c: np.ndarray, max_sweeps: int = 500) -> n
     return c
 
 
-def simplex_oracle(spec: PhaseGateSpec, resolution: int = 60, seed: int = 0):
+def simplex_oracle(spec: PhaseGateSpec, seed: int = 0):
     """Independent brute-force maximum of the quadratic form.
 
-    Exhaustively grids the simplex (the resolution is lowered for larger
-    n to keep the point count bounded), polishes the best grid points by
+    Exhaustively grids the simplex at resolution 1/ORACLE_RESOLUTION
+    (coarser for larger n, to keep the point count within GRID_BUDGET),
+    polishes the best grid points by
     exact pairwise coordinate ascent, and adds seeded random restarts for
     sizes where the grid is too coarse.  Deterministic for a fixed seed.
 
@@ -366,14 +355,14 @@ def simplex_oracle(spec: PhaseGateSpec, resolution: int = 60, seed: int = 0):
     """
     n = spec.n
     m = m_matrix(spec)
-    res = resolution
+    res = ORACLE_RESOLUTION
     while res > 2 and comb(res + n - 1, n - 1) > GRID_BUDGET:
         res -= 1
     grid = _simplex_grid(n, res)
     vals = 0.5 * np.einsum("ij,jk,ik->i", grid, m, grid)
     order = np.argsort(vals)[::-1][:10]
     starts = [grid[i] for i in order]
-    if res < resolution or n > 8:
+    if res < ORACLE_RESOLUTION or n > 8:
         rng = np.random.default_rng(seed)
         starts.extend(rng.dirichlet(np.ones(n), size=200))
     best_y, best_c = -1.0, None

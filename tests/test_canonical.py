@@ -172,10 +172,6 @@ class TestSchmidtRank:
             c = coefficients_from_xyz(CanonicalParams(x, y, z))
             assert schmidt_rank(c) == 4
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(DomainError):
-            schmidt_rank(PauliCoefficients(1, 0, 0, 0), tol=0.0)
-
 
 class TestSchmidtStrength:
     def test_rank_one_gate(self):

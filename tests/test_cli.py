@@ -10,8 +10,21 @@ from epower.cli import main
 SWAP_ANGLE = "0.7853981633974483"
 
 # stdout of `compute --phases P --json` with the default seed, recorded
-# before the n > 3 solver became the largest-gap closed form
+# before the n > 3 solver became the largest-gap closed form (n = 2: before
+# two phases went through that solver too)
 PINNED_PHASE_OUTPUT = {
+    "0,3.141592653589793":
+        '{"command": "compute--phases", "critical": "pair (0, 1) at weights '
+        '(1/2, 1/2)", "method": "closed_form", "params": {"thetas": [0.0, '
+        '3.141592653589793]}, "residuals": {}, "seed": 0, "value_ebits": 1.0}\n',
+    "0,1.3":
+        '{"command": "compute--phases", "critical": "pair (0, 1) at weights '
+        '(1/2, 1/2)", "method": "closed_form", "params": {"thetas": [0.0, 1.3]}, '
+        '"residuals": {}, "seed": 0, "value_ebits": 0.4751720719032304}\n',
+    "1,1":
+        '{"command": "compute--phases", "critical": "pair (0, 1) at weights '
+        '(1/2, 1/2)", "method": "closed_form", "params": {"thetas": [1.0, 1.0]}, '
+        '"residuals": {}, "seed": 0, "value_ebits": 0.0}\n',
     "0,1.5,3.0,4.5":
         '{"command": "compute--phases", "critical": "stationary simplex point '
         '(full ebit)", "method": "closed_form", "params": {"thetas": [0.0, 1.5, '
@@ -255,6 +268,18 @@ class TestVerify:
         results = verify_mod.run_all(seed=7, samples=10)
         failed = [r.name for r in results if not r.passed]
         assert "spectrum equivalence" in failed
+
+    def test_derivative_suite_fails_when_derivatives_always_raise(self, monkeypatch):
+        # only DomainError marks a point as skipped; any other exception
+        # must end the suite instead of redrawing points forever
+        def broken(c, alpha, beta):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(epower2q, "partial_derivatives", broken)
+        results = verify_mod.run_all(seed=7, samples=10)
+        failed = {r.name: r.detail for r in results if not r.passed}
+        assert list(failed) == ["analytic derivatives"]
+        assert "RuntimeError" in failed["analytic derivatives"]
 
     def test_injected_bug_cli_exit_code(self, capsys, monkeypatch):
         original = epower2q._constants

@@ -139,8 +139,6 @@ def test_scipy_loads_only_with_the_oracle():
 def test_search_config_validation():
     with pytest.raises(DomainError):
         SearchConfig(grid_points_per_axis=0)
-    with pytest.raises(DomainError):
-        SearchConfig(tolerance=0.0)
 
 
 def test_search_config_rejects_negative_seed():
@@ -149,7 +147,7 @@ def test_search_config_rejects_negative_seed():
 
 
 @pytest.mark.parametrize("field", ["grid_points_per_axis", "refinement_iterations",
-                                   "multi_starts", "seed", "tolerance"])
+                                   "multi_starts", "seed"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_search_config_rejects_non_finite(field, bad):
     with pytest.raises(DomainError, match="finite"):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from math import pi
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 from epower.qmath import DomainError
 from epower.schmidt2 import (
     PhaseGateSpec,
+    _simplex_grid,
     SimplexWeights,
     ebits_from_quadratic_max,
     entangling_power_phase_gate,
@@ -258,6 +261,14 @@ class TestSimplexOracle:
         y2, w2 = simplex_oracle(spec, seed=5)
         assert y1 == y2
         np.testing.assert_array_equal(w1, w2)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_grid_rows_in_lexicographic_order(self, n):
+        # the oracle's starts come from an argsort of the grid values, so
+        # ties resolve by this row order
+        for r in range(1, 7):
+            rows = [k for k in itertools.product(range(r + 1), repeat=n) if sum(k) == r]
+            np.testing.assert_array_equal(_simplex_grid(n, r), np.array(rows) / r)
 
 
 class TestCertificate:
