@@ -17,7 +17,6 @@ from .canonical import (
     x_shaped_matrix,
 )
 from .epower2q import (
-    DerivativeConstants,
     ProductInputParams,
     Spectrum,
     boundary_maximum,

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from math import pi, radians
 
 import numpy as np
@@ -33,37 +32,7 @@ from .oracle import SearchConfig, brute_force_power
 from .qmath import DomainError
 from .schmidt2 import PhaseGateSpec, entangling_power_phase_gate, phase_gate_matrix
 
-__all__ = ["main", "RunRecord"]
-
-
-@dataclass
-class RunRecord:
-    """One computation, serializable to the stable JSON schema.
-
-    The JSON form carries exactly {command, params, value_ebits, critical,
-    method, residuals, seed} so identical inputs and seed produce
-    byte-identical output.
-    """
-
-    command: str
-    params: dict
-    value_ebits: float
-    critical: str
-    method: str
-    residuals: dict
-    seed: int
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "params": self.params,
-            "value_ebits": self.value_ebits,
-            "critical": self.critical,
-            "method": self.method,
-            "residuals": self.residuals,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, sort_keys=True)
+__all__ = ["main"]
 
 
 def _seed(args) -> int:
@@ -78,14 +47,20 @@ def _seed(args) -> int:
     return seed
 
 
-def _print_record(rec: RunRecord, as_json: bool):
+def _print_record(rec: dict, as_json: bool):
+    """Print one computation, as text or in the stable JSON schema.
+
+    The JSON form carries exactly {command, params, value_ebits, critical,
+    method, residuals, seed} so identical inputs and seed produce
+    byte-identical output.
+    """
     if as_json:
-        print(rec.to_json())
+        print(json.dumps(rec, sort_keys=True))
         return
-    print(f"value_ebits = {rec.value_ebits!r}")
-    print(f"critical    = {rec.critical}")
-    print(f"method      = {rec.method}")
-    for key, val in rec.residuals.items():
+    print(f"value_ebits = {rec['value_ebits']!r}")
+    print(f"critical    = {rec['critical']}")
+    print(f"method      = {rec['method']}")
+    for key, val in rec["residuals"].items():
         print(f"{key} = {val!r}")
 
 
@@ -107,41 +82,44 @@ def _cmd_compute(args) -> int:
         if abs(y - z) <= 1e-12:
             result = entangling_power_c2eqc3(x, y)
         else:
-            chamber = CanonicalParams(x, y, z)
-            rank = schmidt_rank(coefficients_from_xyz(chamber))
+            rank = schmidt_rank(coefficients_from_xyz(CanonicalParams(x, y, z)))
             raise DomainError(
                 f"gates with y != z and Schmidt rank {rank} are unsupported")
-        gate = assemble_unitary(coefficients_from_xyz(CanonicalParams(x, y, y)))
         command = "compute--xyz"
     elif args.example1 is not None:
         x = conv(args.example1)
+        y = x
         params = {"x": x}
         result = example1_power(x)
-        gate = assemble_unitary(coefficients_from_xyz(CanonicalParams(x, x, x)))
         command = "compute--example1"
     elif args.example2 is not None:
+        x = pi / 4
         y = conv(args.example2)
         params = {"y": y}
         result = example2_power(y)
-        gate = assemble_unitary(coefficients_from_xyz(CanonicalParams(pi / 4, y, y)))
         command = "compute--example2"
     else:
         thetas = tuple(conv(v) for v in args.phases.split(","))
         params = {"thetas": list(thetas)}
         spec = PhaseGateSpec(thetas)
-        result = entangling_power_phase_gate(spec, cross_check=args.verify, seed=seed)
-        if args.verify:
-            residuals["oracle_gap"] = result.diagnostics.get("oracle_gap", 0.0)
+        # two phases are checked by the brute-force oracle below instead
+        result = entangling_power_phase_gate(
+            spec, cross_check=args.verify and spec.n > 2, seed=seed)
         gate = phase_gate_matrix(spec) if spec.n == 2 else None
+        if args.verify and gate is None:
+            residuals["oracle_gap"] = result.diagnostics["oracle_gap"]
         command = "compute--phases"
+    if args.phases is None:
+        gate = assemble_unitary(coefficients_from_xyz(CanonicalParams(x, y, y)))
 
-    if args.verify and gate is not None and gate.shape == (4, 4):
+    if args.verify and gate is not None:
         oracle = brute_force_power(gate, SearchConfig(seed=seed))
         residuals["oracle_gap"] = oracle.value - result.value
         residuals["oracle_value"] = oracle.value
 
-    rec = RunRecord(command, params, value_ebits=result.value, critical=result.critical,
-                    method=result.method, residuals=residuals, seed=seed)
+    rec = {"command": command, "params": params, "value_ebits": result.value,
+           "critical": result.critical, "method": result.method,
+           "residuals": residuals, "seed": seed}
     _print_record(rec, args.json)
     return 0
 

@@ -28,7 +28,6 @@ from .results import EntanglingPowerResult
 __all__ = [
     "Spectrum",
     "ProductInputParams",
-    "DerivativeConstants",
     "reduced_density_closed_form",
     "spectrum",
     "entanglement_at",
@@ -56,8 +55,8 @@ DEGENERATE_LAMBDA = 1e-12
 DEGENERATE_GAP = 1e-7
 LINE_GRID_N = 2001
 BRACKET_TOL = 1e-10
-C2_EQ_C3_TOL = 1e-10
 TIE_TOL = 1e-9
+CONJECTURE_GRID_N = 4001
 
 _LIMIT_NOTE = (
     "d/dy limits at the endpoints: 2|c|^2/ln2 at y=+1, "
@@ -123,21 +122,6 @@ class ProductInputParams:
             v = getattr(self, name)
             if not 0.0 < v <= pi / 2 + tol:
                 raise DomainError(f"{name}={v!r} outside (0, pi/2]")
-
-
-@dataclass(frozen=True)
-class DerivativeConstants:
-    """Gate constants entering the analytic partial derivatives."""
-
-    k: float
-    b: float
-    l1: float
-    l2: float
-
-    @classmethod
-    def from_coefficients(cls, c: PauliCoefficients) -> "DerivativeConstants":
-        b, _, k, _, l1, l2 = _constants(c)
-        return cls(k=k, b=b, l1=l1, l2=l2)
 
 
 def _constants(c: PauliCoefficients):
@@ -258,41 +242,46 @@ def entanglement_grid(c: PauliCoefficients, alphas, betas) -> np.ndarray:
     return entropy_bits(lam)
 
 
-def _require_c2_eq_c3(c: PauliCoefficients):
-    if abs(c.c2 - c.c3) > C2_EQ_C3_TOL:
-        raise DomainError(f"|c2 - c3| = {abs(c.c2 - c.c3):.3e} exceeds {C2_EQ_C3_TOL:.0e}")
-
-
-def boundary_maximum(c: PauliCoefficients, x: float, y: float) -> EntanglingPowerResult:
-    """Maximum over the boundary set alpha or beta in {0, pi/4}.
-
-    For cos(2x+2y) <= 0 the boundary maximum is max(1, E(pi/4, pi/4));
-    otherwise it is max(E(0, pi/2), E(pi/4, pi/4)).
+def _boundary_candidates(c: PauliCoefficients, x: float, y: float, v0: float, v4: float):
+    """Branch label and boundary candidates (value, alpha, beta, critical,
+    method) of a c2 = c3 gate in tie order: the line ends alpha = pi/4 (v4)
+    and alpha = 0 (v0), then the balanced-boundary value 1 if cos(2x+2y) <= 0.
     """
-    _require_c2_eq_c3(c)
-    e44 = entanglement_at(c, pi / 4, pi / 4)
-    branch_neg = cos(2 * x + 2 * y) <= 0.0
-    if branch_neg:
-        other, other_tag = 1.0, "balanced boundary (alpha=0)"
-        other_alpha, other_beta = 0.0, _balanced_beta(c)
-    else:
-        other = entanglement_at(c, 0.0, pi / 2)
-        other_tag = "product edge (alpha=0, beta=pi/2)"
-        other_alpha, other_beta = 0.0, pi / 2
-    diag = {
-        "branch": "cos(2x+2y)<=0" if branch_neg else "cos(2x+2y)>0",
-        "candidates": {"maximally_entangled": e44, other_tag: other},
-    }
-    if e44 >= other - TIE_TOL:
-        return EntanglingPowerResult(
-            value=max(e44, other), method="boundary",
-            critical="maximally entangled (alpha=beta=pi/4)",
-            critical_alpha=pi / 4, critical_beta=pi / 4, diagnostics=diag,
-        )
-    return EntanglingPowerResult(
-        value=other, method="boundary", critical=other_tag,
-        critical_alpha=other_alpha, critical_beta=other_beta, diagnostics=diag,
-    )
+    candidates = [
+        (v4, pi / 4, pi / 4, "maximally entangled (alpha=pi/4)", "line_scan"),
+        (v0, 0.0, pi / 2, "product (alpha=0 line edge)", "line_scan"),
+    ]
+    if cos(2 * x + 2 * y) <= 0.0:
+        candidates.append(
+            (1.0, 0.0, _balanced_beta(c), "balanced boundary (alpha=0)", "boundary"))
+        return "cos(2x+2y)<=0", candidates
+    return "cos(2x+2y)>0", candidates
+
+
+def _best_candidate(candidates, diagnostics: dict) -> EntanglingPowerResult:
+    """The maximum over the candidates, named by the earliest candidate
+    within TIE_TOL of it, so ties are reproducible and prefer the boundary."""
+    best = max(v for v, *_ in candidates)
+    _, alpha, beta, tag, method = next(
+        cand for cand in candidates if cand[0] >= best - TIE_TOL)
+    return EntanglingPowerResult(value=best, method=method, critical=tag,
+                                 critical_alpha=alpha, critical_beta=beta,
+                                 diagnostics=diagnostics)
+
+
+def boundary_maximum(x: float, y: float) -> EntanglingPowerResult:
+    """Maximum over the boundary candidates of the gate (x, y, z=y): both
+    ends of the line alpha + beta = pi/2 and, when cos(2x+2y) <= 0, the
+    balanced-boundary value 1.  This is the candidate table of
+    ``entangling_power_c2eqc3`` without the line interior, so it never
+    exceeds that solver's value."""
+    c = coefficients_from_xyz(CanonicalParams(x, y, y))
+    v0, v4 = line_profile_values(c, (0.0, pi / 4))
+    branch, candidates = _boundary_candidates(c, x, y, float(v0), float(v4))
+    return _best_candidate(candidates, {
+        "branch": branch,
+        "candidates": {tag: v for v, _, _, tag, _ in candidates},
+    })
 
 
 def _balanced_beta(c: PauliCoefficients) -> float:
@@ -370,11 +359,11 @@ def entangling_power_c2eqc3(x: float, y: float) -> EntanglingPowerResult:
 
     Schmidt-rank-deficient gates (y = 0, a controlled phase up to local
     unitaries) are routed to the phase-gate solver.  Otherwise the line
-    alpha + beta = pi/2 is scanned densely and refined, and the balanced
-    boundary value 1 is taken into account when cos(2x+2y) <= 0.
+    alpha + beta = pi/2 is scanned densely and refined, and its interior
+    maximum joins the boundary candidates of ``boundary_maximum``; a tie
+    goes to the boundary.
     """
-    params = CanonicalParams(x, y, y)
-    c = coefficients_from_xyz(params)
+    c = coefficients_from_xyz(CanonicalParams(x, y, y))
     if schmidt_rank(c) < 4:
         from .schmidt2 import PhaseGateSpec, entangling_power_phase_gate
 
@@ -386,41 +375,23 @@ def entangling_power_c2eqc3(x: float, y: float) -> EntanglingPowerResult:
         )
 
     a_star, v_star, v0, v4 = _maximize_line(c)
-    branch_neg = cos(2 * x + 2 * y) <= 0.0
-    candidates = [
-        (v4, pi / 4, pi / 4, "maximally entangled (alpha=pi/4)", "line_scan"),
-        (v0, 0.0, pi / 2, "product (alpha=0 line edge)", "line_scan"),
-    ]
-    if branch_neg:
-        candidates.append(
-            (1.0, 0.0, _balanced_beta(c), "balanced boundary (alpha=0)", "boundary"))
+    branch, candidates = _boundary_candidates(c, x, y, v0, v4)
     candidates.append(
         (v_star, a_star, pi / 2 - a_star, "line interior", "line_scan"))
-
-    best = max(v for v, *_ in candidates)
-    # ties prefer the earlier (boundary/edge) candidates for reproducibility
-    _, alpha, beta, tag, method = next(
-        cand for cand in candidates if cand[0] >= best - TIE_TOL)
-    return EntanglingPowerResult(
-        value=best, method=method, critical=tag,
-        critical_alpha=alpha, critical_beta=beta,
-        diagnostics={
-            "branch": "cos(2x+2y)<=0" if branch_neg else "cos(2x+2y)>0",
-            "line_max": v_star, "line_argmax": a_star,
-            "edge_values": (v0, v4), "grid_n": LINE_GRID_N,
-        },
-    )
+    return _best_candidate(candidates, {
+        "branch": branch,
+        "line_max": v_star, "line_argmax": a_star,
+        "edge_values": (v0, v4), "grid_n": LINE_GRID_N})
 
 
-def conjecture_gap(x: float, y: float, grid_n: int = 4001) -> float:
+def conjecture_gap(x: float, y: float) -> float:
     """Excess of the line-profile grid maximum over its two edge values.
 
     A value above 1e-9 would place the maximum strictly inside the line,
     falsifying the edge-maximum conjecture for this gate.
     """
-    params = CanonicalParams(x, y, y)
-    c = coefficients_from_xyz(params)
-    alphas = np.linspace(0.0, pi / 4, grid_n)
+    c = coefficients_from_xyz(CanonicalParams(x, y, y))
+    alphas = np.linspace(0.0, pi / 4, CONJECTURE_GRID_N)
     vals = line_profile_values(c, alphas)
     return float(vals.max() - max(vals[0], vals[-1]))
 

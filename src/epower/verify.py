@@ -147,7 +147,7 @@ def check_conjecture_harness(rng, samples=None) -> CheckResult:
     for _ in range(n):
         x = rng.uniform(1e-3, pi / 4)
         y = rng.uniform(1e-3, x)
-        gap = epower2q.conjecture_gap(x, y, grid_n=4001)
+        gap = epower2q.conjecture_gap(x, y)
         worst = max(worst, gap)
         if gap > 1e-9:
             findings.append({"x": x, "y": y, "interior_excess": gap})
@@ -171,8 +171,10 @@ def run_all(seed: int = 0, samples: int | None = None) -> list[CheckResult]:
     """Run every suite with one seeded generator; deterministic per seed.
 
     A suite that raises is reported as failed under its own name instead
-    of aborting the run.
+    of aborting the run.  ``samples`` below 1 raises ``DomainError``.
     """
+    if samples is not None and samples < 1:
+        raise DomainError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     results = []
     for name, fn in _SUITES:

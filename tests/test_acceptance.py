@@ -241,7 +241,7 @@ def test_criterion_10_conjecture_harness():
     worst = -np.inf
     for _ in range(100):
         x, y, _ = random_chamber(rng, strict=True)
-        gap = conjecture_gap(x, y, grid_n=4001)
+        gap = conjecture_gap(x, y)
         worst = max(worst, gap)
         if gap > 1e-9:
             findings.append({"x": x, "y": y, "interior_excess": gap})

@@ -41,6 +41,44 @@ PINNED_PHASE_OUTPUT = {
         '1.0}\n',
 }
 
+# stdout of `compute ARGS` for the chamber-angle forms, recorded before the
+# c2 = c3 candidate table was shared with `boundary_maximum`
+PINNED_CHAMBER_OUTPUT = {
+    ("--xyz", SWAP_ANGLE, SWAP_ANGLE, SWAP_ANGLE, "--json"):
+        '{"command": "compute--xyz", "critical": "maximally entangled '
+        '(alpha=pi/4)", "method": "line_scan", "params": {"x": 0.7853981633974483, '
+        '"y": 0.7853981633974483, "z": 0.7853981633974483}, "residuals": {}, '
+        '"seed": 0, "value_ebits": 2.0}\n',
+    ("--xyz", "0.6", "0.3", "0.3"):
+        'value_ebits = 1.5544370141056678\ncritical    = maximally entangled '
+        '(alpha=pi/4)\nmethod      = line_scan\n',
+    ("--xyz", "0.05", "0.05", "0.05", "--json"):
+        '{"command": "compute--xyz", "critical": "product (alpha=0 line edge)", '
+        '"method": "line_scan", "params": {"x": 0.05, "y": 0.05, "z": 0.05}, '
+        '"residuals": {}, "seed": 0, "value_ebits": 0.08057237093705515}\n',
+    ("--xyz", SWAP_ANGLE, "0", "0", "--json"):
+        '{"command": "compute--xyz", "critical": "pair (0, 1) at weights '
+        '(1/2, 1/2)", "method": "rank2_dispatch", "params": {"x": '
+        '0.7853981633974483, "y": 0.0, "z": 0.0}, "residuals": {}, "seed": 0, '
+        '"value_ebits": 1.0}\n',
+    # x + y = pi/4: the cos(2x+2y) branch is decided by rounding
+    ("--xyz", "0.5", "0.2853981633974483", "0.2853981633974483", "--json"):
+        '{"command": "compute--xyz", "critical": "maximally entangled '
+        '(alpha=pi/4)", "method": "line_scan", "params": {"x": 0.5, "y": '
+        '0.2853981633974483, "z": 0.2853981633974483}, "residuals": {}, "seed": 0, '
+        '"value_ebits": 1.4157009937367646}\n',
+    ("--example1", "0.05"):
+        'value_ebits = 0.08057237093705545\ncritical    = product (alpha=0 line '
+        'edge)\nmethod      = closed_form\n',
+    ("--example1", "0.5"):
+        'value_ebits = 1.8389178506960986\ncritical    = maximally entangled '
+        '(alpha=pi/4)\nmethod      = closed_form\n',
+    ("--example2", "0.3", "--json"):
+        '{"command": "compute--example2", "critical": "maximally entangled '
+        '(alpha=beta=pi/4)", "method": "closed_form", "params": {"y": 0.3}, '
+        '"residuals": {}, "seed": 0, "value_ebits": 1.632897563747085}\n',
+}
+
 # stdout recorded before the numeric kernels were merged
 PINNED_LINE_SCAN = (
     "alpha,E\n0.0,0.9624363026310064\n0.19634954084936207,1.013144098148465\n"
@@ -188,6 +226,26 @@ class TestCompute:
         assert code == 0
         assert out == PINNED_PHASE_OUTPUT[phases]
 
+    @pytest.mark.parametrize("args", list(PINNED_CHAMBER_OUTPUT),
+                             ids=" ".join)
+    def test_chamber_output_pinned(self, capsys, monkeypatch, args):
+        monkeypatch.delenv("EPOWER_SEED", raising=False)
+        code, out, _ = run_cli(capsys, "compute", *args)
+        assert code == 0
+        assert out == PINNED_CHAMBER_OUTPUT[args]
+
+    @pytest.mark.parametrize("phases, keys", [
+        ("0,1.3", {"oracle_gap", "oracle_value"}),
+        ("0,1,2", {"oracle_gap"}),
+    ])
+    def test_verify_residual_keys(self, capsys, phases, keys):
+        # two phases are checked by the brute-force oracle, more by the
+        # simplex oracle; the oracle digits themselves are not pinned
+        code, out, _ = run_cli(capsys, "compute", "--phases", phases,
+                               "--verify", "--json")
+        assert code == 0
+        assert set(json.loads(out)["residuals"]) == keys
+
 
 class TestScan:
     def test_line_row_count_and_max(self, capsys):
@@ -254,6 +312,13 @@ class TestVerify:
                                "--json")
         assert code == 0
         assert out == PINNED_VERIFY_JSON
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_exit_two(self, capsys, samples):
+        code, out, err = run_cli(capsys, "verify", "--samples", samples, "--json")
+        assert code == 2
+        assert out == ""
+        assert "samples" in err
 
     def test_injected_sign_bug_fails_spectrum_check(self, capsys, monkeypatch):
         # flipping the sign of the second block trace must be caught by the

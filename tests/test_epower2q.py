@@ -9,8 +9,8 @@ from epower.canonical import (
     coefficients_from_xyz,
     schmidt_strength,
 )
+import epower.epower2q as epower2q
 from epower.epower2q import (
-    DerivativeConstants,
     ProductInputParams,
     Spectrum,
     boundary_maximum,
@@ -125,15 +125,14 @@ class TestEntanglementAt:
 
 class TestBoundaryMaximum:
     def test_swap_branch(self):
-        c = gate(pi / 4, pi / 4)
-        res = boundary_maximum(c, pi / 4, pi / 4)
+        res = boundary_maximum(pi / 4, pi / 4)
         assert res.value == pytest.approx(2.0, abs=1e-12)
         assert res.diagnostics["branch"] == "cos(2x+2y)<=0"
 
     def test_small_angle_branch(self):
         x, y = 0.1, 0.05
         c = gate(x, y)
-        res = boundary_maximum(c, x, y)
+        res = boundary_maximum(x, y)
         e44 = entanglement_at(c, pi / 4, pi / 4)
         e0 = shannon_entropy([abs(c.c0 - c.c3) ** 2, abs(c.c1 + c.c2) ** 2])
         assert res.diagnostics["branch"] == "cos(2x+2y)>0"
@@ -148,10 +147,24 @@ class TestBoundaryMaximum:
             assert entanglement_at(c, 0.0, pi / 2) == pytest.approx(
                 expected, abs=1e-12)
 
-    def test_rejects_unequal_tails(self):
-        c = gate(0.6, 0.4, 0.2)
-        with pytest.raises(DomainError):
-            boundary_maximum(c, 0.6, 0.4)
+    def test_shared_table_with_solver(self, rng):
+        # the solver is the boundary table plus the line interior
+        q = pi / 4
+        points = [(x, rng.uniform(0.0, x)) for x in rng.uniform(0.0, q, 200)]
+        points += [(x, 0.0) for x in rng.uniform(0.05, q, 10)]
+        points += [(x, x) for x in rng.uniform(0.0, q, 10)]
+        points += [(x, q - x) for x in rng.uniform(q / 2, q, 10)]
+        points += [(q, 0.0), (q, q), (q / 2, q / 2)]
+        edge_labels = ("maximally entangled (alpha=pi/4)",
+                       "product (alpha=0 line edge)", "balanced boundary (alpha=0)")
+        for x, y in points:
+            res = entangling_power_c2eqc3(x, y)
+            bound = boundary_maximum(x, y)
+            assert res.value >= bound.value - 1e-15
+            if res.critical in edge_labels:
+                assert res.value == pytest.approx(bound.value, abs=1e-12)
+            if res.method != "rank2_dispatch":
+                assert res.diagnostics["branch"] == bound.diagnostics["branch"]
 
 
 class TestPartialDerivatives:
@@ -185,9 +198,9 @@ class TestPartialDerivatives:
 
     def test_constants_ordering(self, rng):
         for _ in range(100):
-            d = DerivativeConstants.from_coefficients(gate(*random_chamber(rng)))
-            assert d.l1 >= d.l2 - 1e-12
-            assert d.b >= 0.5 - 1e-12
+            b, _, _, _, l1, l2 = epower2q._constants(gate(*random_chamber(rng)))
+            assert l1 >= l2 - 1e-12
+            assert b >= 0.5 - 1e-12
 
 
 class TestLineProfile:
@@ -257,12 +270,12 @@ class TestConjectureGap:
         assert conjecture_gap(pi / 4, pi / 4) <= 1e-9
 
     def test_generic_gate(self):
-        assert conjecture_gap(0.3, 0.1, grid_n=4001) <= 1e-9
+        assert conjecture_gap(0.3, 0.1) <= 1e-9
 
     def test_random_sample(self, rng):
         for _ in range(20):
             x, y, _ = random_chamber(rng, strict=True)
-            assert conjecture_gap(x, y, grid_n=1001) <= 1e-9
+            assert conjecture_gap(x, y) <= 1e-9
 
 
 class TestExample1:
