@@ -14,6 +14,7 @@ from epower.epower2q import (
     line_profile_values,
     reduced_density_closed_form,
 )
+from epower import oracle
 from epower.oracle import (
     SearchConfig,
     brute_force_power,
@@ -100,6 +101,144 @@ class TestBruteForce:
             brute_force_power(np.eye(4) * 2.0)
 
 
+def dressed_gate():
+    rng = np.random.default_rng(9)
+    a, b, c, d = (random_unitary(rng, 2) for _ in range(4))
+    return np.kron(a, b) @ gate_matrix(0.3, 0.2) @ np.kron(c, d)
+
+
+# repr of (value, angles, n_evaluations, converged, grid_best), recorded
+# with the one-start-at-a-time scipy refinement that the lockstep search
+# replaced; any moved bit in the search shows here.
+PINNED = {
+    "swap": (lambda: gate_matrix(pi / 4, pi / 4), LIGHT,
+             ("2.0", "(0.7853981571440685, 0.7853981621127208, 3.1939509780753745, "
+              "8.333086153889635e-05, 1.5707963249674928, 1.5707963267948966)",
+              "25606", "False", "2.0")),
+    "cz": (lambda: np.diag([1, 1, 1, -1]).astype(complex), LIGHT,
+           ("1.000000000000008", "(0.7853981656627145, 0.7853981667048775, "
+            "1.4959192526509758e-05, 3.1626860978898055, 1.1728524685422035, "
+            "0.3929075577950876)", "25569", "True", "1.0000000000000056")),
+    "sqrt_swap": (lambda: gate_matrix(pi / 8, pi / 8), LIGHT,
+                  ("1.5487949406953994", "(0.7853981640549068, 0.7853981594756917, "
+                   "4.790930623766027, 3.1939531499661062, 1.5707963267948966, "
+                   "1.5707963267948966)", "25809", "True", "1.5487949406953985")),
+    "xyz_0.6_0.3": (lambda: gate_matrix(0.6, 0.3), LIGHT,
+                    ("1.5544370141056687", "(0.7853981637416775, 0.7853981623298522, "
+                     "2.001939725579543e-05, 1.595375281804697, 1.5707963267948966, "
+                     "1.5707963261818105)", "25829", "False", "1.5544370141056683")),
+    "xyz_0.05": (lambda: gate_matrix(0.05, 0.05), LIGHT,
+                 ("0.08057237093707283", "(0.0, 1.5707963267948966, 4.772495235214587, "
+                  "6.377943997840866e-05, 0.7953922933654252, 1.1874121922605112)",
+                  "25252", "True", "0.08057237093706157")),
+    "dressed": (dressed_gate, LIGHT,
+                ("0.8625359082692149", "(0.785398164080064, 0.7853981628567726, "
+                 "1.6367799648492434, 4.726552893715336, 1.5707963267792682, "
+                 "1.5707963267948966)", "25589", "False", "0.8625359082692148")),
+    "default_0.6_0.3": (lambda: gate_matrix(0.6, 0.3), SearchConfig(),
+                        ("1.5544370141056687", "(0.7853981675601778, 0.7853981657248139, "
+                         "8.333515472449957e-05, 4.790930513345167, 1.5707963267948966, "
+                         "1.570796324234863)", "111279", "True", "1.5544370141056683")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_oracle_output_pinned(name):
+    make_gate, cfg, expected = PINNED[name]
+    res = brute_force_power(make_gate(), cfg)
+    d = res.diagnostics
+    got = (repr(res.value), repr(d["angles"]), repr(d["n_evaluations"]),
+           repr(d["converged"]), repr(d["grid_best"]))
+    assert got == expected
+
+
+def test_product_pair_power_pinned():
+    assert repr(product_pair_power(gate_matrix(0.45, 0.15), grid_n=161)) == "0.9723997622281073"
+    assert repr(product_pair_power(gate_matrix(0.6, 0.3))) == "1.5544370141056683"
+
+
+class TestLockstepNelderMead:
+    """``oracle.minimize`` against scipy's own bounded Nelder-Mead, start by start."""
+
+    U = random_unitary(np.random.default_rng(3), 4)
+
+    def six_angle_starts(self):
+        lows, highs = oracle._LOWS, oracle._HIGHS
+        rng = np.random.default_rng(17)
+        return np.vstack([
+            lows + (highs - lows) * rng.random((4, 6)),
+            [0.0, 0.4, 0.0, 2.0, 0.0, 1.1],           # zero coordinates
+            highs * 0.97,                             # within 5 % of the upper bound
+            highs * (1 - 1e-3) * np.array([1, 0.5, 1, 0.3, 1, 0.6]),
+            highs,                                    # on the upper bound
+            lows,                                     # on the lower bound
+            np.where(np.arange(6) % 2, highs, lows),  # mixed bounds
+        ])
+
+    def pair_starts(self):
+        rng = np.random.default_rng(23)
+        return np.vstack([(pi / 2) * rng.random((3, 2)), [0.0, 0.9], [pi / 2, 0.0],
+                          [0.97 * pi / 2, 1.53], [pi / 2, pi / 2], [0.0, 0.0]])
+
+    def six_angle_objective(self, x):
+        return -oracle._entropies(self.U, x)
+
+    def pair_objective(self, x):
+        tail = np.broadcast_to((0.0, 0.0, pi / 2, pi / 2), (len(x), 4))
+        return -oracle._entropies(self.U, np.hstack([x, tail]))
+
+    def compare(self, batched, scalar, starts, lb, ub, maxiter, xatol, fatol):
+        from scipy.optimize import minimize as scipy_minimize
+
+        res = oracle.minimize(batched, starts, lb, ub, maxiter, xatol, fatol)
+        total = 0
+        for k, x0 in enumerate(starts):
+            ref = scipy_minimize(scalar, x0, method="Nelder-Mead", bounds=list(zip(lb, ub)),
+                                 options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})
+            one = oracle.minimize(batched, x0[None], lb, ub, maxiter, xatol, fatol)
+            assert res.x[k].tobytes() == ref.x.tobytes() == one.x[0].tobytes()
+            assert res.fun[k] == ref.fun == one.fun[0]
+            assert bool(res.success[k]) == ref.success == bool(one.success[0])
+            assert one.nfev == ref.nfev
+            total += ref.nfev
+        assert res.nfev == total
+        return res
+
+    def test_six_angles(self):
+        def scalar(v):
+            return -entanglement_of_product_input(self.U, *v)
+
+        res = self.compare(self.six_angle_objective, scalar, self.six_angle_starts(),
+                           oracle._LOWS, oracle._HIGHS, 400, 1e-8, 1e-12)
+        assert res.success.any() and not res.success.all()
+
+    def test_pair(self):
+        def scalar(v):
+            return -entanglement_of_product_input(self.U, v[0], v[1])
+
+        res = self.compare(self.pair_objective, scalar, self.pair_starts(),
+                           oracle._LOWS[:2], oracle._HIGHS[:2], 400, 1e-9, 1e-13)
+        assert res.success.all()
+
+    def test_iteration_cap_reports_failure(self):
+        def scalar(v):
+            return -entanglement_of_product_input(self.U, *v)
+
+        res = self.compare(self.six_angle_objective, scalar, self.six_angle_starts(),
+                           oracle._LOWS, oracle._HIGHS, 5, 1e-8, 1e-12)
+        assert not res.success.any()
+
+
+def test_batched_entropies_match_point_by_point():
+    rng = np.random.default_rng(31)
+    U = random_unitary(rng, 4)
+    x = oracle._LOWS + (oracle._HIGHS - oracle._LOWS) * rng.random((300, 6))
+    batch = oracle._entropies(U, x)
+    for k in (0, 1, 7, 150, 299):
+        assert oracle._entropies(U, x[:k + 1])[k] == batch[k]
+    assert all(entanglement_of_product_input(U, *v) == b for v, b in zip(x, batch))
+
+
 class TestReductionToTwoAngles:
     def test_unrestricted_gains_nothing_on_equal_tail_gates(self):
         for x, y in [(0.45, 0.15), (0.3, 0.3), (pi / 4, 0.2)]:
@@ -144,6 +283,14 @@ def test_search_config_validation():
 def test_search_config_rejects_negative_seed():
     with pytest.raises(DomainError, match="nonnegative"):
         SearchConfig(seed=-1)
+
+
+@pytest.mark.parametrize("field", ["grid_points_per_axis", "refinement_iterations",
+                                   "multi_starts", "seed"])
+@pytest.mark.parametrize("bad", [1.5, 9.5, True, np.int64(1) + 0.5])
+def test_search_config_rejects_non_integer(field, bad):
+    with pytest.raises(DomainError, match="integers"):
+        SearchConfig(**{field: bad})
 
 
 @pytest.mark.parametrize("field", ["grid_points_per_axis", "refinement_iterations",
