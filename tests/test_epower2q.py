@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from math import pi
@@ -435,3 +437,49 @@ def test_product_input_rejects_non_finite(field, bad):
     kwargs = {"alpha": 0.1, "beta": 0.1, field: bad}
     with pytest.raises(DomainError):
         ProductInputParams(**kwargs)
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _solver_points():
+    """Seeded chamber points (x, y): generic gates, y = 0, x = y = z,
+    x = pi/4, and a few named ones."""
+    rng = np.random.default_rng(1804)
+    points = [(0.0, 0.0), (pi / 4, pi / 4), (pi / 4, 0.0), (pi / 8, pi / 8), (0.6, 0.3)]
+    points += [random_chamber(rng)[:2] for _ in range(200)]
+    points += [(x, 0.0) for x in rng.uniform(0.0, pi / 4, 30)]
+    points += [(x, x) for x in rng.uniform(0.0, pi / 4, 40)]
+    points += [(pi / 4, y) for y in rng.uniform(0.0, pi / 4, 40)]
+    return points
+
+
+# SHA-256 of the reprs below, recorded with the numpy 0-d line profile
+# that the scalar one replaced; any moved bit in the solver shows here.
+SOLVER_DIGEST = "594e768570cad2f53fb6daf24d9553a48059605cf03aacef33574aa7a893da17"
+LINE_PROFILE_DIGEST = "a17f2743cdceb13412feb17786614c10589234aff69590a8acda2909019ba771"
+
+
+def test_solver_output_digest():
+    lines = []
+    for x, y in _solver_points():
+        r = entangling_power_c2eqc3(x, y)
+        d = r.diagnostics
+        lines.append(repr((x, y, r.value, r.method, r.critical, r.critical_alpha,
+                           r.critical_beta, d.get("branch"), d.get("line_max"),
+                           d.get("line_argmax"), d.get("edge_values"))))
+    assert len(lines) >= 300
+    assert _digest(lines) == SOLVER_DIGEST
+
+
+def test_line_profile_digest():
+    rng = np.random.default_rng(1805)
+    lines = []
+    for _ in range(100):
+        x, y, _ = random_chamber(rng)
+        c = gate(x, y)
+        for a in [0.0, pi / 4, *rng.uniform(0.0, pi / 4, 98)]:
+            lines.append(repr((x, y, float(a), line_profile_value(c, a))))
+    assert len(lines) == 10_000
+    assert _digest(lines) == LINE_PROFILE_DIGEST

@@ -22,7 +22,7 @@ from epower.oracle import (
     output_state,
     product_pair_power,
 )
-from epower.qmath import DomainError, partial_trace, von_neumann_entropy
+from epower.qmath import DomainError, entropy_bits, partial_trace, von_neumann_entropy
 
 from conftest import random_unitary
 
@@ -299,3 +299,64 @@ def test_search_config_rejects_non_integer(field, bad):
 def test_search_config_rejects_non_finite(field, bad):
     with pytest.raises(DomainError, match="finite"):
         SearchConfig(**{field: bad})
+
+
+def reference_output(U, alpha, beta, theta, xi, mu, nu):
+    """Output states, shape (N, 2, 2, 2, 2), by the einsum contraction that
+    the oracle's points-last kernel replaced; kept as its bit-for-bit
+    reference."""
+    n = alpha.size
+    psi = np.zeros((n, 4), dtype=complex)
+    psi[:, 0] = np.cos(alpha)
+    psi[:, 2] = np.sin(alpha) * np.exp(1j * theta) * np.cos(mu)
+    psi[:, 3] = np.sin(alpha) * np.sin(mu)
+    phi = np.zeros((n, 4), dtype=complex)
+    phi[:, 0] = np.cos(beta)
+    phi[:, 2] = np.sin(beta) * np.exp(1j * xi) * np.cos(nu)
+    phi[:, 3] = np.sin(beta) * np.sin(nu)
+    full = (psi[:, :, None] * phi[:, None, :]).reshape(n, 2, 2, 2, 2)
+    return np.einsum("xyab,narbt->nxryt", U.reshape(2, 2, 2, 2), full)
+
+
+def reference_entropies(U, *angles):
+    out = reference_output(U, *angles).reshape(-1, 4, 4)
+    rho = np.einsum("nmk,nml->nkl", out, out.conj())
+    return entropy_bits(np.linalg.eigvalsh(rho))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
+
+
+def kernel_gates():
+    rng = np.random.default_rng(1804)
+    return {"swap": gate_matrix(pi / 4, pi / 4),
+            "cnot": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+            "haar_a": random_unitary(rng, 4), "haar_b": random_unitary(rng, 4)}
+
+
+@pytest.mark.parametrize("name", ["swap", "cnot", "haar_a", "haar_b"])
+def test_grid_kernel_matches_einsum_reference(name):
+    U = kernel_gates()[name]
+    ab, mn, ph = oracle._grid_axes(SearchConfig())
+    flat = [g.ravel() for g in np.meshgrid(ab, ab, ph, ph, mn, mn, indexing="ij")]
+    n_grid = flat[0].size
+    for lo in range(0, n_grid, 8192):
+        cols = [f[lo:lo + 8192] for f in flat]
+        assert same_bits(oracle._batch_entropies(U, *cols), reference_entropies(U, *cols))
+    for i in range(0, n_grid, 977):
+        point = [float(f[i]) for f in flat]
+        amps = output_state(U, ProductInputParams(*point)).amplitudes
+        assert same_bits(amps, reference_output(U, *np.array(point)[:, None])[0].reshape(16))
+
+
+@pytest.mark.parametrize("rows", [1, 17, 280])
+def test_batch_kernel_matches_einsum_reference(rows):
+    rng = np.random.default_rng(rows)
+    U = random_unitary(rng, 4)
+    x = oracle._LOWS + (oracle._HIGHS - oracle._LOWS) * rng.random((rows, 6))
+    cols = np.ascontiguousarray(x.T)
+    assert same_bits(oracle._entropies(U, x), reference_entropies(U, *cols))
+    assert same_bits(oracle._batch_entropies(U, *cols), reference_entropies(U, *cols))
