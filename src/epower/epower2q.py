@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, sin, pi, log2
+from math import cos, sin, sqrt, pi, log2
 
 import numpy as np
 
@@ -56,6 +56,8 @@ DEGENERATE_GAP = 1e-7
 LINE_GRID_N = 2001
 BRACKET_TOL = 1e-10
 TIE_TOL = 1e-9
+# rounding slack on the line parameter's range [0, pi/4]
+ALPHA_SLACK = 1e-12
 CONJECTURE_GRID_N = 4001
 
 _LIMIT_NOTE = (
@@ -125,15 +127,16 @@ class ProductInputParams:
 
 
 def _constants(c: PauliCoefficients):
-    """Gate constants (b, a2, k, k2, l1, l2) of the closed-form spectrum."""
-    c0, c1, c2, c3 = c.as_array()
+    """Gate constants (b, a2, k, k2, l1, l2) of the closed-form spectrum,
+    in plain Python complex arithmetic (the bits of numpy's scalars)."""
+    c0, c1, c2, c3 = (complex(v) for v in (c.c0, c.c1, c.c2, c.c3))
     b = abs(c0) ** 2 + abs(c3) ** 2
     a2 = abs(c1) ** 2 + abs(c2) ** 2
-    k = (c0 * np.conj(c3) + c3 * np.conj(c0)).real
-    k2 = (c1 * np.conj(c2) + c2 * np.conj(c1)).real
+    k = (c0 * c3.conjugate() + c3 * c0.conjugate()).real
+    k2 = (c1 * c2.conjugate() + c2 * c1.conjugate()).real
     l1 = abs(c0 * c3) ** 2
     l2 = abs(c1 * c2) ** 2
-    return float(b), float(a2), float(k), float(k2), float(l1), float(l2)
+    return b, a2, k, k2, l1, l2
 
 
 def _lambda_pair(t, big_l):
@@ -216,22 +219,43 @@ def entanglement_at(c: PauliCoefficients, alpha: float, beta: float) -> float:
     return spectrum(c, alpha, beta).entropy()
 
 
-def _line_lambdas(c: PauliCoefficients, alpha):
-    """Spectrum on the line beta = pi/2 - alpha, where cc = -cos^2 2a."""
-    alpha = np.asarray(alpha, dtype=float)
-    return _block_spectrum(c, -np.cos(2 * alpha) ** 2, np.sin(2 * alpha) ** 4)[0]
+def _scalar_pair(t: float, big_l: float):
+    """``_lambda_pair`` for one Python float t and L, by the same operations."""
+    disc = t * t - 4.0 * big_l
+    if disc < -1e-10:
+        raise RuntimeError(f"negative discriminant {disc:.3e} in spectrum")
+    hi = 0.5 * (t + sqrt(max(disc, 0.0)))
+    return (big_l / hi if hi > 1e-300 else 0.0), hi
 
 
 def line_profile_value(c: PauliCoefficients, alpha: float) -> float:
-    """Entanglement at (alpha, pi/2 - alpha) for alpha in [0, pi/4]."""
-    if not -1e-12 <= alpha <= pi / 4 + 1e-12:
+    """Entanglement at (alpha, pi/2 - alpha) for alpha in [0, pi/4].
+
+    The golden-section refinement calls this once per point, so it works
+    on Python floats and ``math``, where numpy 0-d arrays would spend most
+    of the time in dispatch.  Python's ``**`` runs libm ``pow``; numpy's
+    array power does not, so ``line_profile_values`` can differ from this
+    in the last bit.
+    """
+    if not -ALPHA_SLACK <= alpha <= pi / 4 + ALPHA_SLACK:
         raise DomainError(f"alpha={alpha!r} outside [0, pi/4]")
-    return float(entropy_bits(_line_lambdas(c, alpha)))
+    b, a2, k, k2, l1, l2 = _constants(c)
+    cc = -cos(2 * alpha) ** 2
+    s_sq = sin(2 * alpha) ** 4
+    lo1, hi1 = _scalar_pair(b + cc * k, l1 * s_sq)
+    lo2, hi2 = _scalar_pair(a2 - cc * k2, l2 * s_sq)
+    return float(entropy_bits(np.array([lo1, hi1, lo2, hi2])))
 
 
 def line_profile_values(c: PauliCoefficients, alphas) -> np.ndarray:
-    """Vectorized line profile over an array of alpha values."""
-    return entropy_bits(_line_lambdas(c, np.asarray(alphas, dtype=float)))
+    """Vectorized line profile over an array of alpha values in [0, pi/4]."""
+    alphas = np.asarray(alphas, dtype=float)
+    bad = ~((alphas >= -ALPHA_SLACK) & (alphas <= pi / 4 + ALPHA_SLACK))
+    if bad.any():
+        raise DomainError(f"alpha={float(alphas[bad][0])!r} outside [0, pi/4]")
+    # on the line beta = pi/2 - alpha: cc = -cos^2 2a, s_sq = sin^4 2a
+    lam, _, _ = _block_spectrum(c, -np.cos(2 * alphas) ** 2, np.sin(2 * alphas) ** 4)
+    return entropy_bits(lam)
 
 
 def entanglement_grid(c: PauliCoefficients, alphas, betas) -> np.ndarray:

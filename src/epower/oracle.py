@@ -35,6 +35,8 @@ __all__ = [
 # search box of the six angles (alpha, beta, theta, xi, mu, nu)
 _LOWS = np.zeros(6)
 _HIGHS = np.array([pi / 2, pi / 2, 2 * pi, 2 * pi, pi / 2, pi / 2])
+# lower triangle (row >= column) of a 4x4 matrix
+_TRIL = np.tril_indices(4)
 
 
 @dataclass(frozen=True)
@@ -160,35 +162,60 @@ def output_state(U: np.ndarray, params: ProductInputParams) -> StateVector:
     (A, R_A, B, R_B); the gate acts as identity on the references.
     """
     U = check_unitary(U)
-    amps = _batch_output(
-        U,
-        np.array([params.alpha]), np.array([params.beta]),
-        np.array([params.theta]), np.array([params.xi]),
-        np.array([params.mu]), np.array([params.nu]),
-    )[0]
+    out_re, out_im = _batch_output(U, *(np.array([v]) for v in astuple(params)))
+    amps = np.stack((out_re, out_im), axis=-1).view(complex)
     return StateVector(amps.reshape(16), (2, 2, 2, 2))
 
 
+def _input_factor(angle, phase, weight):
+    """One side's qubit-and-reference input state, shape (4, P), points last."""
+    v = np.zeros((4, angle.size), dtype=complex)
+    v[0] = np.cos(angle)
+    v[2] = np.sin(angle) * np.exp(1j * phase) * np.cos(weight)
+    v[3] = np.sin(angle) * np.sin(weight)
+    return v
+
+
 def _batch_output(U, alpha, beta, theta, xi, mu, nu):
-    """Output states for batched angle arrays; shape (N, 2, 2, 2, 2)."""
+    """Output states for batched angle arrays, points last.
+
+    Returns the real and imaginary parts, each of shape (4, 4, P) and
+    indexed [(x, r), (y, t), point] in the subsystem order (A, R_A, B, R_B):
+    out[x, r, y, t] = sum over (a, b) of U[(x, y), (a, b)] psi[a, r] phi[b, t].
+    The sum runs from zero over (a, b) in order, a outer and b inner, and
+    each product with U is written out on float arrays: the operations of
+    ``np.einsum``, so the bits are einsum's.  numpy's complex multiply
+    ufunc uses FMA and does not match it; it forms psi[a, r] phi[b, t],
+    as it always has.
+    """
     n = alpha.size
-    psi = np.zeros((n, 4), dtype=complex)
-    psi[:, 0] = np.cos(alpha)
-    psi[:, 2] = np.sin(alpha) * np.exp(1j * theta) * np.cos(mu)
-    psi[:, 3] = np.sin(alpha) * np.sin(mu)
-    phi = np.zeros((n, 4), dtype=complex)
-    phi[:, 0] = np.cos(beta)
-    phi[:, 2] = np.sin(beta) * np.exp(1j * xi) * np.cos(nu)
-    phi[:, 3] = np.sin(beta) * np.sin(nu)
-    full = (psi[:, :, None] * phi[:, None, :]).reshape(n, 2, 2, 2, 2)
-    U4 = U.reshape(2, 2, 2, 2)
-    return np.einsum("xyab,narbt->nxryt", U4, full)
+    full = (_input_factor(alpha, theta, mu).reshape(2, 1, 2, 1, n)
+            * _input_factor(beta, xi, nu).reshape(1, 2, 1, 2, n)).reshape(1, 4, 4, n)
+    f_re, f_im = full.real, full.imag  # [., (a, b), (r, t), point]
+    u_re, u_im = U.real[:, :, None, None], U.imag[:, :, None, None]
+    # an add.reduce over a leading axis adds its slices one after another
+    out_re = np.add.reduce(u_re * f_re - u_im * f_im, axis=1, initial=0.0)
+    out_im = np.add.reduce(u_re * f_im + u_im * f_re, axis=1, initial=0.0)
+    # [(x, y), (r, t)] -> [(x, r), (y, t)]
+    return tuple(o.reshape(2, 2, 2, 2, n).transpose(0, 2, 1, 3, 4).reshape(4, 4, n)
+                 for o in (out_re, out_im))
 
 
 def _batch_entropies(U, alpha, beta, theta, xi, mu, nu):
-    out = _batch_output(U, alpha, beta, theta, xi, mu, nu).reshape(-1, 4, 4)
-    rho = np.einsum("nmk,nml->nkl", out, out.conj())
-    return entropy_bits(np.linalg.eigvalsh(rho))
+    """Entanglement across (A, R_A) : (B, R_B) of each batched output state.
+
+    rho[k, l] = sum over m of out[m, k] conj(out[m, l]), summed from zero
+    in order of m as einsum does, on the lower triangle only: the part
+    that ``eigvalsh`` reads.
+    """
+    out_re, out_im = _batch_output(U, alpha, beta, theta, xi, mu, nu)
+    k, l = _TRIL
+    k_re, k_im, l_re, l_im = out_re[:, k], out_im[:, k], out_re[:, l], out_im[:, l]
+    rho = np.zeros((4, 4, alpha.size, 2))
+    rho[k, l, :, 0] = np.add.reduce(k_re * l_re + k_im * l_im, axis=0, initial=0.0)
+    rho[k, l, :, 1] = np.add.reduce(k_im * l_re - k_re * l_im, axis=0, initial=0.0)
+    rho = rho.view(complex)[..., 0].transpose(2, 0, 1)
+    return entropy_bits(np.linalg.eigvalsh(rho, UPLO="L"))
 
 
 def _entropies(U, x):
@@ -237,7 +264,7 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
     flat = [g.ravel() for g in grids]
     n_grid = flat[0].size
     vals = np.empty(n_grid)
-    chunk = 65536
+    chunk = 8192
     for lo in range(0, n_grid, chunk):
         hi = min(lo + chunk, n_grid)
         vals[lo:hi] = _batch_entropies(
@@ -285,6 +312,8 @@ def product_pair_power(U: np.ndarray, grid_n: int = 201) -> float:
     Grid over (alpha, beta) plus a local 2-D refinement; used to measure
     how much the unrestricted search gains over the reduced family.
     """
+    if grid_n < 1:
+        raise DomainError(f"grid_n must be at least 1, got {grid_n}")
     U = check_unitary(U)
     ab = np.linspace(0.0, pi / 2, grid_n)
     A, B = np.meshgrid(ab, ab, indexing="ij")

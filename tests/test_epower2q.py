@@ -226,6 +226,22 @@ class TestLineProfile:
         with pytest.raises(DomainError):
             line_profile_value(gate(0.6, 0.3), 1.0)
 
+    @pytest.mark.parametrize("bad", [1.0, -1e-11, pi / 4 + 1e-11, float("nan")])
+    def test_both_paths_reject_the_same_alphas(self, bad):
+        c = gate(0.6, 0.3)
+        with pytest.raises(DomainError):
+            line_profile_value(c, bad)
+        with pytest.raises(DomainError):
+            line_profile_values(c, [0.2, bad])
+        with pytest.raises(DomainError):
+            line_profile_values(c, bad)
+
+    def test_both_paths_accept_rounding_slack(self):
+        c = gate(0.6, 0.3)
+        for a in (-1e-13, pi / 4 + 1e-13):
+            assert line_profile_values(c, [a])[0] == pytest.approx(
+                line_profile_value(c, a), abs=1e-15)
+
     def test_vectorized_matches_scalar(self):
         c = gate(0.5, 0.1)
         alphas = np.linspace(0.0, pi / 4, 17)

@@ -152,6 +152,12 @@ def test_oracle_output_pinned(name):
     assert got == expected
 
 
+@pytest.mark.parametrize("grid_n", [0, -3])
+def test_product_pair_power_rejects_empty_grid(grid_n):
+    with pytest.raises(DomainError, match="grid_n"):
+        product_pair_power(gate_matrix(0.6, 0.3), grid_n=grid_n)
+
+
 def test_product_pair_power_pinned():
     assert repr(product_pair_power(gate_matrix(0.45, 0.15), grid_n=161)) == "0.9723997622281073"
     assert repr(product_pair_power(gate_matrix(0.6, 0.3))) == "1.5544370141056683"
