@@ -14,7 +14,7 @@ the closed forms.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from math import isfinite, pi
+from math import ceil, isfinite, log2, pi
 from numbers import Integral
 from typing import NamedTuple
 
@@ -237,6 +237,34 @@ def _grid_axes(cfg: SearchConfig):
     mn = np.linspace(pi / (2 * gm), pi / 2, gm)
     ph = np.linspace(0.0, 2 * pi, 4, endpoint=False)
     return ab, mn, ph
+
+
+def _halton(n: int, seed: int) -> np.ndarray:
+    """The first n points, shape (n, 6), of a seeded scrambled Halton sequence.
+
+    Bit for bit ``scipy.stats.qmc.Halton(d=6, scramble=True, seed=seed)
+    .random(n)`` (scipy 1.17; Owen, arXiv 1706.02808).  One generator
+    shuffles a permutation of the digits for each digit position of each
+    base, bases in order; coordinate q of a column is the sum over j of
+    perm_j[digit_j(q)] * w_j, where w_j comes from dividing by the base
+    j + 1 times and the sum runs from zero in order of j, as scipy's loop
+    does.
+    """
+    rng = np.random.default_rng(seed)
+    q = np.arange(n)
+    cols = []
+    for base in (2, 3, 5, 7, 11, 13):
+        count = ceil(54 / log2(base)) - 1  # until base**-count < 2**-54
+        perms = np.repeat(np.arange(base)[None], count, axis=0)
+        for row in perms:
+            rng.shuffle(row)
+        weights = [1.0 / base]
+        while len(weights) < count:
+            weights.append(weights[-1] / base)
+        j = np.arange(count)[:, None]
+        terms = perms[j, q // base ** j % base] * np.array(weights)[:, None]
+        cols.append(np.cumsum(terms, axis=0)[-1])  # an accumulate adds in order
+    return np.stack(cols, axis=1)
 
 
 def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> EntanglingPowerResult:

@@ -163,6 +163,38 @@ def test_product_pair_power_pinned():
     assert repr(product_pair_power(gate_matrix(0.6, 0.3))) == "1.5544370141056683"
 
 
+def scipy_halton(n, seed):
+    """scipy's scrambled Halton points, the reference for ``oracle._halton``."""
+    from scipy.stats import qmc
+
+    return qmc.Halton(d=6, scramble=True, seed=seed).random(n)
+
+
+@pytest.mark.parametrize("n", [1, 8, 32, 33, 97, 1024])
+def test_halton_matches_scipy(n):
+    for seed in range(200):
+        assert oracle._halton(n, seed).tobytes() == scipy_halton(n, seed).tobytes()
+
+
+@pytest.mark.parametrize("seed", [2**64, 10**400])
+def test_halton_matches_scipy_for_large_seeds(seed):
+    assert oracle._halton(40, seed).tobytes() == scipy_halton(40, seed).tobytes()
+
+
+@pytest.mark.parametrize("cfg", [LIGHT, SearchConfig()], ids=["light", "default"])
+@pytest.mark.parametrize("make_gate", [lambda: np.diag([1, 1, 1, -1]).astype(complex),
+                                       dressed_gate], ids=["cz", "dressed"])
+def test_oracle_unchanged_with_scipy_starts(cfg, make_gate, monkeypatch):
+    def summary():
+        res = brute_force_power(make_gate(), cfg)
+        return repr(res.value), repr(res.diagnostics["angles"]), \
+            repr(res.diagnostics["n_evaluations"])
+
+    ours = summary()
+    monkeypatch.setattr(oracle, "_halton", scipy_halton)
+    assert summary() == ours
+
+
 class TestLockstepNelderMead:
     """``oracle.minimize`` against scipy's own bounded Nelder-Mead, start by start."""
 
