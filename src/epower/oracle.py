@@ -50,7 +50,8 @@ class SearchConfig:
 
     def __post_init__(self):
         values = astuple(self)
-        if not all(isfinite(v) for v in values):
+        # isfinite would overflow on an integer beyond float range
+        if not all(isinstance(v, Integral) or isfinite(v) for v in values):
             raise DomainError("search configuration values must be finite")
         if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in values):
             raise DomainError("search configuration values must be integers")
@@ -280,9 +281,12 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
         stage maximum, the refined angles and the evaluation count.
 
     The 8 best grid cells and ``cfg.multi_starts`` scrambled Halton points
-    are refined together by the lockstep ``minimize``; the results are
-    taken in that order, each only if strictly better than the incumbent,
-    and one more search polishes the winner.  Every start follows scipy's
+    are refined together by the lockstep ``minimize``.  The Halton points
+    are scipy's seeded ``qmc.Halton(d=6, scramble=True)`` points with
+    ``cfg.seed``, reproduced in numpy by ``_halton`` and tested bit for
+    bit against scipy, scaled to the search box.  The results are taken
+    in that order, each only if strictly better than the incumbent, and
+    one more search polishes the winner.  Every start follows scipy's
     Nelder-Mead path, so the outcome is the one a start-by-start scipy
     search gives, to the last bit.
     """
@@ -301,11 +305,8 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
     order = np.argsort(vals)[::-1][:8]
     grid_best = float(vals[order[0]])
 
-    from scipy.stats import qmc
-
-    halton = qmc.Halton(d=6, scramble=True, seed=cfg.seed)
     starts = np.vstack([np.stack([f[order] for f in flat], axis=1),
-                        _LOWS + (_HIGHS - _LOWS) * halton.random(cfg.multi_starts)])
+                        _LOWS + (_HIGHS - _LOWS) * _halton(cfg.multi_starts, cfg.seed)])
 
     def objective(x):
         return -_entropies(U, x)

@@ -172,6 +172,16 @@ class TestCompute:
         _, out, _ = run_cli(capsys, "compute", "--example2", "0.3", "--json")
         assert json.loads(out)["seed"] == 42
 
+    @pytest.mark.parametrize("argv", [
+        ("compute", "--xyz", "0.6", "0.3", "0.3", "--verify", "--json"),
+        ("compute", "--xyz", "0.6", "0.3", "0.3", "--json"),
+        ("verify", "--samples", "10", "--json"),
+    ])
+    def test_seed_beyond_float_range_runs(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", str(10**400))
+        assert code == 0, err
+        assert json.loads(out)["seed"] == 10**400
+
     def test_bad_env_seed_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("EPOWER_SEED", "abc")
         code, out, err = run_cli(capsys, "compute", "--phases", "0,3.14159", "--json")

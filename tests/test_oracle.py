@@ -1,6 +1,8 @@
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +315,33 @@ def test_scipy_loads_only_with_the_oracle():
     assert out.strip() == "False"
 
 
+def test_cli_and_oracle_run_without_scipy():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(epower.__file__))}
+    code = ("import sys, numpy as np, epower, epower.cli; "
+            "epower.cli.main(['compute', '--xyz', '0.6', '0.3', '0.3', '--verify']); "
+            "epower.brute_force_power(np.diag([1, 1, 1, -1]).astype(complex)); "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
+
+
+def test_no_module_imports_scipy():
+    package = Path(epower.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] != "scipy", f"{path.name}:{node.lineno} imports {name}"
+
+
 def test_search_config_validation():
     with pytest.raises(DomainError):
         SearchConfig(grid_points_per_axis=0)
@@ -337,6 +366,14 @@ def test_search_config_rejects_non_integer(field, bad):
 def test_search_config_rejects_non_finite(field, bad):
     with pytest.raises(DomainError, match="finite"):
         SearchConfig(**{field: bad})
+
+
+def test_search_config_accepts_seed_beyond_float_range():
+    cfg = SearchConfig(grid_points_per_axis=9, refinement_iterations=150,
+                       multi_starts=6, seed=10**400)
+    assert cfg.seed == 10**400
+    res = brute_force_power(np.diag([1, 1, 1, -1]).astype(complex), cfg)
+    assert res.value >= 1.0 - 1e-6
 
 
 def reference_output(U, alpha, beta, theta, xi, mu, nu):
