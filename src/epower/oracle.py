@@ -264,7 +264,8 @@ def _halton(n: int, seed: int) -> np.ndarray:
             weights.append(weights[-1] / base)
         j = np.arange(count)[:, None]
         terms = perms[j, q // base ** j % base] * np.array(weights)[:, None]
-        cols.append(np.cumsum(terms, axis=0)[-1])  # an accumulate adds in order
+        # cumsum adds the terms one after another; np.sum may pair them up
+        cols.append(np.cumsum(terms, axis=0)[-1])
     return np.stack(cols, axis=1)
 
 
