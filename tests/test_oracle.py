@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -437,3 +438,30 @@ def test_batch_kernel_matches_einsum_reference(rows):
     cols = np.ascontiguousarray(x.T)
     assert same_bits(oracle._entropies(U, x), reference_entropies(U, *cols))
     assert same_bits(oracle._batch_entropies(U, *cols), reference_entropies(U, *cols))
+
+
+# SHA-256 of the grid-stage entropies of brute_force_power as the
+# 8,192-point chunk loop computed them; any moved bit in the grid shows here.
+GRID_DIGESTS = {
+    ("swap", "default"): "00fdd1479d446aad761a17237d8dfe6f4b208315cb9194f21e175786e0948427",
+    ("cnot", "default"): "fd4f36b0c6fe5248eea8aff8cfa15096ca4bd693b3c3daae0d57e8dd43f1094c",
+    ("haar_a", "default"): "57dcccd5538a430186a1c49fda444e17a7a6fc7ae591600953cc2fa9484ed291",
+    ("haar_b", "default"): "d0fd73de5b393cd5eb321750458503093e819c0553b418eb3251b3bd874814ff",
+    ("dressed", "default"): "b0300d2c9fd78b89a6067e65ed043c2dda8e695e0584a996f61fe92a2154cd0c",
+    ("swap", "light"): "47f4c2067d831bfe02581d4c96eb33c28876be97c07f09e482c81fae63771a32",
+    ("cnot", "light"): "4dde7f207ca6976b8d74b082554fc0cf52f3bdb28e8bb6eca13bcdabf71c7319",
+    ("haar_a", "light"): "b96dd7d021d662571063894ede862b0d45a6eb7d03a8b703d29e9b6d06443365",
+    ("haar_b", "light"): "85d33a9b637ab18e1a5110b561c37e28e8dc74b06b1a4027e3a709c33211f3d3",
+    ("dressed", "light"): "7d346e36c729ec44aab44ccde59a56e633aa0e25f51143712c6e03194b1c547e",
+}
+
+
+@pytest.mark.parametrize("gate, config", sorted(GRID_DIGESTS))
+def test_grid_values_pinned(gate, config):
+    U = {**kernel_gates(), "dressed": dressed_gate()}[gate]
+    cfg = {"default": SearchConfig(), "light": LIGHT}[config]
+    ab, mn, ph = oracle._grid_axes(cfg)
+    flat = [g.ravel() for g in np.meshgrid(ab, ab, ph, ph, mn, mn, indexing="ij")]
+    vals = np.concatenate([oracle._batch_entropies(U, *(f[lo:lo + 8192] for f in flat))
+                           for lo in range(0, flat[0].size, 8192)])
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == GRID_DIGESTS[gate, config]
