@@ -2,8 +2,9 @@
 run the verification suites.
 
 Angles are radians unless ``--deg`` is given.  Exit codes: 0 success,
-1 verification failure, 2 usage or domain error.  The default seed comes
-from the EPOWER_SEED environment variable.
+1 verification failure, 2 usage or domain error, 141 (128 + SIGPIPE)
+when the reader of stdout closes it early, as ``| head`` does.  The
+default seed comes from the EPOWER_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -245,10 +246,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the flush at exit would raise again; send what is left nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import epower
 import epower.epower2q as epower2q
 import epower.verify as verify_mod
 from epower.cli import main
@@ -301,6 +305,19 @@ class TestScan:
     def test_bad_range_exits_two(self, capsys):
         assert run_cli(capsys, "scan", "line", "--x", "0.6", "--y", "0.3",
                        "--n", "1")[0] == 2
+
+    def test_closed_stdout_exits_141_without_traceback(self):
+        # the output (about 8 MB) outgrows the pipe, so a write meets the
+        # closed reader, as under `| head -c 50`
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(epower.__file__))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "epower.cli", "scan", "line", "--x", "0.6", "--y", "0.3",
+             "--n", "200000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(50).startswith(b"alpha,E\n")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert b"Traceback" not in stderr
 
 
 class TestVerify:

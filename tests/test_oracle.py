@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -154,6 +155,28 @@ def test_oracle_output_pinned(name):
     got = (repr(res.value), repr(d["angles"]), repr(d["n_evaluations"]),
            repr(d["converged"]), repr(d["grid_best"]))
     assert got == expected
+
+
+def test_diagnostics_split_the_stages():
+    d = brute_force_power(np.diag([1, 1, 1, -1]).astype(complex), LIGHT).diagnostics
+    assert d["grid_evaluations"] == 9 * 9 * 4 * 4 * 4 * 4
+    assert d["refine_evaluations"] > 0
+    assert d["grid_evaluations"] + d["refine_evaluations"] == d["n_evaluations"]
+    assert sorted(d["timings"]) == ["grid_s", "refine_s"]
+    assert all(t > 0 for t in d["timings"].values())
+
+
+def test_default_call_peak_traced_memory():
+    # measured: 7.2 MiB, most of it the six 0.74 MiB grid columns; the
+    # 8,192-point chunk loop took 24.2 MiB.  25 % margin.
+    U = gate_matrix(0.6, 0.3)
+    tracemalloc.start()
+    try:
+        brute_force_power(U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20
 
 
 @pytest.mark.parametrize("grid_n", [0, -3])
@@ -440,8 +463,9 @@ def test_batch_kernel_matches_einsum_reference(rows):
     assert same_bits(oracle._batch_entropies(U, *cols), reference_entropies(U, *cols))
 
 
-# SHA-256 of the grid-stage entropies of brute_force_power as the
-# 8,192-point chunk loop computed them; any moved bit in the grid shows here.
+# SHA-256 of the grid-stage entropies of brute_force_power, recorded with
+# the 8,192-point chunk loop that the workspace loop replaced; any moved
+# bit in the grid shows here.
 GRID_DIGESTS = {
     ("swap", "default"): "00fdd1479d446aad761a17237d8dfe6f4b208315cb9194f21e175786e0948427",
     ("cnot", "default"): "fd4f36b0c6fe5248eea8aff8cfa15096ca4bd693b3c3daae0d57e8dd43f1094c",
@@ -462,6 +486,5 @@ def test_grid_values_pinned(gate, config):
     cfg = {"default": SearchConfig(), "light": LIGHT}[config]
     ab, mn, ph = oracle._grid_axes(cfg)
     flat = [g.ravel() for g in np.meshgrid(ab, ab, ph, ph, mn, mn, indexing="ij")]
-    vals = np.concatenate([oracle._batch_entropies(U, *(f[lo:lo + 8192] for f in flat))
-                           for lo in range(0, flat[0].size, 8192)])
+    vals = oracle._grid_entropies(U, flat)
     assert hashlib.sha256(vals.tobytes()).hexdigest() == GRID_DIGESTS[gate, config]
