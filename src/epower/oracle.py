@@ -249,10 +249,11 @@ def _batch_entropies(U, alpha, beta, theta, xi, mu, nu, ws=None):
     ``_batch_output``.
     """
     ws = _workspace(alpha.size) if ws is None else ws
-    out_re, out_im = _batch_output(U, alpha, beta, theta, xi, mu, nu, ws)
+    _batch_output(U, alpha, beta, theta, xi, mu, nu, ws)
     k, l = _TRIL
-    for dst, src, idx in zip(ws.terms, (out_re, out_im) * 2, (k, k, l, l)):
-        np.take(src, idx, axis=1, out=dst, mode="clip")  # "raise" would buffer out
+    # out[:, k] and out[:, l], re and im; mode "raise" would buffer out
+    ws.state.take(k, axis=2, out=ws.terms[:2], mode="clip")
+    ws.state.take(l, axis=2, out=ws.terms[2:], mode="clip")
     k_re, k_im, l_re, l_im = ws.terms
     _sum_of_products(k_re, l_re, np.add, k_im, l_im, ws.pairs, 0, ws.tril[..., 0])
     _sum_of_products(k_im, l_re, np.subtract, k_re, l_im, ws.pairs, 0, ws.tril[..., 1])
