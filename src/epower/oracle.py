@@ -38,8 +38,9 @@ _LOWS = np.zeros(6)
 _HIGHS = np.array([pi / 2, pi / 2, 2 * pi, 2 * pi, pi / 2, pi / 2])
 # lower triangle (row >= column) of a 4x4 matrix
 _TRIL = np.tril_indices(4)
-# points per chunk of a grid: the kernel's workspace for one chunk, about
-# 2 MiB, stays in cache; the fastest of a measured sweep over 128 to 8,192
+# points per chunk of a grid.  In a sweep from 128 to 8,192 points, 256 to
+# 2,048 ran alike, 128 paid per-chunk overhead and 4,096 up faulted again;
+# at 512 the kernel's workspace is about 2 MiB.
 _CHUNK = 512
 
 

@@ -167,8 +167,8 @@ def test_diagnostics_split_the_stages():
 
 
 def test_default_call_peak_traced_memory():
-    # measured: 7.2 MiB, most of it the six 0.74 MiB grid columns; the
-    # 8,192-point chunk loop took 24.2 MiB.  25 % margin.
+    # measured: 7.5 MiB, most of it the six 0.74 MiB grid columns; the
+    # 8,192-point chunk loop took 24.2 MiB.  About 25 % margin.
     U = gate_matrix(0.6, 0.3)
     tracemalloc.start()
     try:
@@ -176,7 +176,7 @@ def test_default_call_peak_traced_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * 2**20
+    assert peak < 9.5 * 2**20
 
 
 @pytest.mark.parametrize("grid_n", [0, -3])
