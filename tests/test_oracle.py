@@ -488,3 +488,23 @@ def test_grid_values_pinned(gate, config):
     flat = [g.ravel() for g in np.meshgrid(ab, ab, ph, ph, mn, mn, indexing="ij")]
     vals = oracle._grid_entropies(U, flat)
     assert hashlib.sha256(vals.tobytes()).hexdigest() == GRID_DIGESTS[gate, config]
+
+
+@pytest.mark.parametrize("config", ["default", "light"])
+@pytest.mark.parametrize("gate", ["swap", "cnot", "haar_a", "haar_b", "dressed"])
+def test_zero_angle_inputs_give_one_bit_pattern(gate, config):
+    # sin(0.0) = 0.0, so at angle 0 every (phase, weight) gives the side
+    # input (1, 0, 0, 0) up to the sign of zeros, and the kernel's sums
+    # from +0.0 leave no trace of those signs
+    U = {**kernel_gates(), "dressed": dressed_gate()}[gate]
+    cfg = {"default": SearchConfig(), "light": LIGHT}[config]
+    ab, mn, ph = oracle._grid_axes(cfg)
+    triples = np.stack([g.ravel() for g in np.meshgrid(ab, ph, mn, indexing="ij")], axis=1)
+    zero = triples[triples[:, 0] == 0.0]
+    assert len(zero) == ph.size * mn.size
+    variants = np.repeat(zero, len(triples), axis=0)
+    others = np.tile(triples, (len(zero), 1))
+    for a, b in ((variants, others), (others, variants)):
+        x = np.column_stack([a[:, 0], b[:, 0], a[:, 1], b[:, 1], a[:, 2], b[:, 2]])
+        vals = oracle._entropies(U, x).reshape(len(zero), len(triples))
+        assert all(same_bits(v, vals[0]) for v in vals)
