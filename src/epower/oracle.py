@@ -158,7 +158,8 @@ def minimize(fun, x0, lb, ub, maxiter, xatol, fatol) -> LockstepResult:
 def _sort_vertices(sim, fsim):
     """Order each simplex by objective value, best vertex first."""
     ind = np.argsort(fsim, axis=1)
-    return np.take_along_axis(sim, ind[:, :, None], 1), np.take_along_axis(fsim, ind, 1)
+    rows = np.arange(len(ind))[:, None]
+    return sim[rows, ind], fsim[rows, ind]
 
 
 def output_state(U: np.ndarray, params: ProductInputParams) -> StateVector:
@@ -168,7 +169,7 @@ def output_state(U: np.ndarray, params: ProductInputParams) -> StateVector:
     (A, R_A, B, R_B); the gate acts as identity on the references.
     """
     U = check_unitary(U)
-    out_re, out_im = _batch_output(U, *(np.array([v]) for v in astuple(params)))
+    out_re, out_im = _batch_output(U, *_factors(np.array([astuple(params)], dtype=float)))
     amps = np.stack((out_re, out_im), axis=-1).view(complex)
     return StateVector(amps.reshape(16), (2, 2, 2, 2))
 
@@ -181,6 +182,12 @@ def _input_factor(angle, phase, weight):
     v[2] = sin * np.exp(1j * phase) * np.cos(weight)
     v[3] = sin * np.sin(weight)
     return v
+
+
+def _factors(x):
+    """The A and B input factors, each (4, M), of an (M, 6) array of angles."""
+    alpha, beta, theta, xi, mu, nu = np.ascontiguousarray(np.transpose(x))
+    return _input_factor(alpha, theta, mu), _input_factor(beta, xi, nu)
 
 
 class _Workspace(NamedTuple):
@@ -214,12 +221,14 @@ def _sum_of_products(a, b, combine, c, d, work, axis, out):
     return np.add.reduce(combine(p, q, out=p), axis=axis, initial=0.0, out=out)
 
 
-def _batch_output(U, alpha, beta, theta, xi, mu, nu, ws=None):
-    """Output states for batched angle arrays, points last.
+def _batch_output(U, fa, fb, ws=None):
+    """Output states for batched input factors, points last.
 
     Returns the real and imaginary parts, each of shape (4, 4, P) and
     indexed [(x, r), (y, t), point] in the subsystem order (A, R_A, B, R_B):
-    out[x, r, y, t] = sum over (a, b) of U[(x, y), (a, b)] psi[a, r] phi[b, t].
+    out[x, r, y, t] = sum over (a, b) of U[(x, y), (a, b)] psi[a, r] phi[b, t],
+    where psi and phi are the (4, P) blocks ``fa`` and ``fb`` of
+    ``_input_factor``, indexed [(a, r), point] and [(b, t), point].
     The sum runs from zero over (a, b) in order, a outer and b inner, and
     each product with U is written out on float arrays: the operations of
     ``np.einsum``, so the bits are einsum's.  numpy's complex multiply
@@ -227,10 +236,9 @@ def _batch_output(U, alpha, beta, theta, xi, mu, nu, ws=None):
     as it always has.  The intermediates go to ``ws``, a fresh workspace
     unless one for P points is given, and the result is a view into it.
     """
-    n = alpha.size
+    n = fa.shape[1]
     ws = _workspace(n) if ws is None else ws
-    full = np.multiply(_input_factor(alpha, theta, mu).reshape(2, 1, 2, 1, n),
-                       _input_factor(beta, xi, nu).reshape(1, 2, 1, 2, n), out=ws.full)
+    full = np.multiply(fa.reshape(2, 1, 2, 1, n), fb.reshape(1, 2, 1, 2, n), out=ws.full)
     f_re, f_im = (f.reshape(1, 4, 4, n) for f in (full.real, full.imag))  # [., (a, b), (r, t), point]
     u_re, u_im = U.real[:, :, None, None], U.imag[:, :, None, None]
     _sum_of_products(u_re, f_re, np.subtract, u_im, f_im, ws.prod, 1, ws.sums[0])
@@ -241,7 +249,7 @@ def _batch_output(U, alpha, beta, theta, xi, mu, nu, ws=None):
     return ws.state[0], ws.state[1]
 
 
-def _batch_entropies(U, alpha, beta, theta, xi, mu, nu, ws=None):
+def _batch_entropies(U, fa, fb, ws=None):
     """Entanglement across (A, R_A) : (B, R_B) of each batched output state.
 
     rho[k, l] = sum over m of out[m, k] conj(out[m, l]), summed from zero
@@ -249,8 +257,8 @@ def _batch_entropies(U, alpha, beta, theta, xi, mu, nu, ws=None):
     that ``eigvalsh`` reads.  The intermediates go to ``ws`` as in
     ``_batch_output``.
     """
-    ws = _workspace(alpha.size) if ws is None else ws
-    _batch_output(U, alpha, beta, theta, xi, mu, nu, ws)
+    ws = _workspace(fa.shape[1]) if ws is None else ws
+    _batch_output(U, fa, fb, ws)
     k, l = _TRIL
     # out[:, k] and out[:, l], re and im; mode "raise" would buffer out
     ws.state.take(k, axis=2, out=ws.terms[:2], mode="clip")
@@ -263,32 +271,58 @@ def _batch_entropies(U, alpha, beta, theta, xi, mu, nu, ws=None):
     return entropy_bits(np.linalg.eigvalsh(rho, UPLO="L"))
 
 
-def _grid_entropies(U, cols):
-    """``_batch_entropies`` over six equal-length angle columns.
+def _pair_entropies(U, fa, fb):
+    """``_batch_entropies`` of every pair of an A factor and a B factor.
 
-    The points go in chunks of ``_CHUNK`` through one workspace reused
-    for every full chunk, so the chunks allocate none of the kernel's
-    large intermediates; a short last chunk gets its own exact-size one.
+    ``fa`` and ``fb`` are (4, m) and (4, n) blocks of ``_input_factor``;
+    the result has shape (m, n).  The pairs go in chunks of ``_CHUNK``
+    through one workspace reused for every full chunk, so the chunks
+    allocate none of the kernel's large intermediates; a short last chunk
+    gets its own exact-size one.
     """
-    n = cols[0].size
-    vals = np.empty(n)
+    m, n = fa.shape[1], fb.shape[1]
+    vals = np.empty(m * n)
     ws = _workspace(_CHUNK)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        vals[lo:hi] = _batch_entropies(U, *(c[lo:hi] for c in cols),
+    for lo in range(0, m * n, _CHUNK):
+        hi = min(lo + _CHUNK, m * n)
+        i, j = np.divmod(np.arange(lo, hi), n)
+        vals[lo:hi] = _batch_entropies(U, fa[:, i], fb[:, j],
                                        ws=ws if hi - lo == _CHUNK else None)
-    return vals
+    return vals.reshape(m, n)
+
+
+def _grid_entropies(U, ab, mn, ph):
+    """Grid-stage entropies and the number of input pairs the kernel scored.
+
+    The entropies are flat, in ``np.meshgrid`` order of the axes
+    (alpha, beta, theta, xi, mu, nu) = (ab, ab, ph, ph, mn, mn).  Both sides take the same (angle, phase, weight) triples, so the grid
+    is every pair of one side's input states, and each distinct pair is
+    scored once.  sin(0.0) = 0.0, so every triple with angle 0 gives the
+    state (1, 0, 0, 0) up to the sign of zeros; the kernel's sums start
+    from +0.0 and leave no trace of those signs, so these triples share
+    one state and every grid value keeps its bits.
+    """
+    angle, phase, weight = (g.ravel() for g in np.meshgrid(ab, ph, mn, indexing="ij"))
+    # the first ph.size * mn.size triples have angle ab[0] = 0; keep the last of them
+    dup = ph.size * mn.size - 1
+    states = _input_factor(angle[dup:], phase[dup:], weight[dup:])
+    side = np.maximum(np.arange(angle.size) - dup, 0).reshape(ab.size, ph.size, mn.size)
+    table = _pair_entropies(U, states, states)
+    vals = table[side[:, None, :, None, :, None], side[None, :, None, :, None, :]]
+    return vals.ravel(), table.size
 
 
 def _entropies(U, x):
     """Output entanglement at each row of an (M, 6) array of angles."""
-    return _batch_entropies(U, *np.ascontiguousarray(np.transpose(x)))
+    return _batch_entropies(U, *_factors(x))
 
 
 def entanglement_of_product_input(U, alpha, beta, theta=0.0, xi=0.0,
                                   mu=pi / 2, nu=pi / 2) -> float:
     """Output entanglement across (A, R_A) : (B, R_B) for one input."""
     angles = np.array([[alpha, beta, theta, xi, mu, nu]], dtype=float)
+    if not np.isfinite(angles).all():
+        raise DomainError(f"input angles must be finite, got {angles[0].tolist()}")
     return float(_entropies(check_unitary(U), angles)[0])
 
 
@@ -341,9 +375,21 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
         EntanglingPowerResult with method "oracle".  The value is a lower
         bound on the true entangling power; diagnostics carry the grid
         stage maximum, the refined angles, the evaluation counts of the
-        grid and refinement stages and their sum, and the wall time of
-        each stage (``timings``: ``grid_s`` up to the choice of the 8 best
-        cells, ``refine_s`` from there on).
+        grid and refinement stages and their sum, the number of distinct
+        input pairs the grid stage scored (``grid_distinct``), and the wall
+        time of each stage (``timings``: ``grid_s`` up to the choice of the
+        8 best cells, ``refine_s`` from there on).
+
+    The grid takes ``cfg.grid_points_per_axis`` angles in [0, pi/2], four
+    phases and max(4, g // 2) weights per side, in every combination.
+    Both sides take the same (angle, phase, weight) triples, so the grid
+    is scored as every pair of one side's input states: 312 triples per
+    side on the default grid.  At angle 0 all triples give the state
+    (1, 0, 0, 0), apart from the sign of zeros, since sin(0.0) = 0.0;
+    the kernel's sums start from +0.0, so those signs leave no trace and
+    the triples share one state.  That leaves 289 states per side and
+    83,521 distinct pairs for the 97,344 grid points, each with the bits
+    of its own six-angle evaluation.
 
     The 8 best grid cells and ``cfg.multi_starts`` scrambled Halton points
     are refined together by the lockstep ``minimize``.  The Halton points
@@ -358,15 +404,14 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
     U = check_unitary(U)
     t_grid = perf_counter()
     ab, mn, ph = _grid_axes(cfg)
-    grids = np.meshgrid(ab, ab, ph, ph, mn, mn, indexing="ij")
-    flat = [g.ravel() for g in grids]
-    n_grid = flat[0].size
-    vals = _grid_entropies(U, flat)
+    vals, n_distinct = _grid_entropies(U, ab, mn, ph)
     order = np.argsort(vals)[::-1][:8]
     grid_best = float(vals[order[0]])
 
     t_refine = perf_counter()
-    starts = np.vstack([np.stack([f[order] for f in flat], axis=1),
+    axes = (ab, ab, ph, ph, mn, mn)
+    cells = np.unravel_index(order, [a.size for a in axes])
+    starts = np.vstack([np.stack([a[c] for a, c in zip(axes, cells)], axis=1),
                         _LOWS + (_HIGHS - _LOWS) * _halton(cfg.multi_starts, cfg.seed)])
 
     def objective(x):
@@ -390,8 +435,9 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
         diagnostics={
             "angles": tuple(float(v) for v in best_x),
             "grid_best": grid_best,
-            "n_evaluations": n_grid + n_refine,
-            "grid_evaluations": n_grid,
+            "n_evaluations": vals.size + n_refine,
+            "grid_evaluations": vals.size,
+            "grid_distinct": n_distinct,
             "refine_evaluations": n_refine,
             "timings": {"grid_s": t_refine - t_grid, "refine_s": t_end - t_refine},
             "converged": converged,
@@ -406,20 +452,20 @@ def product_pair_power(U: np.ndarray, grid_n: int = 201) -> float:
     Grid over (alpha, beta) plus a local 2-D refinement; used to measure
     how much the unrestricted search gains over the reduced family.
     """
+    if not isinstance(grid_n, Integral) or isinstance(grid_n, bool):
+        raise DomainError(f"grid_n must be an integer, got {grid_n!r}")
     if grid_n < 1:
         raise DomainError(f"grid_n must be at least 1, got {grid_n}")
     U = check_unitary(U)
     ab = np.linspace(0.0, pi / 2, grid_n)
-    A, B = np.meshgrid(ab, ab, indexing="ij")
-    zeros = np.zeros(A.size)
-    half = np.full(A.size, pi / 2)
-    vals = _grid_entropies(U, (A.ravel(), B.ravel(), zeros, zeros, half, half))
-    i = int(np.argmax(vals))
-    x0 = np.array([A.ravel()[i], B.ravel()[i]])
+    states = _input_factor(ab, np.zeros(grid_n), np.full(grid_n, pi / 2))
+    vals = _pair_entropies(U, states, states)
+    i, j = np.unravel_index(np.argmax(vals), vals.shape)
+    x0 = np.array([ab[i], ab[j]])
 
     def objective(x):
         tail = np.broadcast_to((0.0, 0.0, pi / 2, pi / 2), (len(x), 4))
         return -_entropies(U, np.hstack([x, tail]))
 
     res = minimize(objective, x0[None], _LOWS[:2], _HIGHS[:2], 400, 1e-9, 1e-13)
-    return max(float(vals[i]), -float(res.fun[0]))
+    return max(float(vals[i, j]), -float(res.fun[0]))

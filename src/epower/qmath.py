@@ -49,10 +49,13 @@ def entropy_bits(p):
 
 
 def check_unitary(U) -> np.ndarray:
-    """U as a complex 4x4 array; DomainError unless U U^dagger = I."""
+    """U as a complex 4x4 array; DomainError unless it is finite and U U^dagger = I."""
     U = np.asarray(U, dtype=complex)
     if U.shape != (4, 4):
         raise DomainError(f"expected a 4x4 unitary, got shape {U.shape}")
+    # a NaN or inf entry would leave a NaN in dev, and NaN > tol is False
+    if not np.isfinite(U).all():
+        raise DomainError("unitary entries must be finite")
     dev = np.abs(U @ U.conj().T - np.eye(4)).max()
     if dev > UNITARY_TOL:
         raise DomainError(f"matrix deviates from unitary by {dev:.3e}")

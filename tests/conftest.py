@@ -38,3 +38,14 @@ def align_global_phase(a, ref):
     """Rotate ``a`` by the phase that matches ``ref`` at its largest entry."""
     idx = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
     return a * (ref[idx] / a[idx])
+
+
+def non_finite_gates():
+    """An all-NaN matrix, and the identity with one NaN, inf or -inf entry."""
+    gates = {"all_nan": np.full((4, 4), np.nan)}
+    for name, bad in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf),
+                      ("nan_imag", complex(0.0, np.nan))):
+        U = np.eye(4, dtype=complex)
+        U[2, 1] = bad
+        gates[name] = U
+    return gates

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from epower.oracle import (
 )
 from epower.qmath import DomainError, entropy_bits, partial_trace, von_neumann_entropy
 
-from conftest import random_unitary
+from conftest import non_finite_gates, random_unitary
 
 LIGHT = SearchConfig(grid_points_per_axis=9, refinement_iterations=150,
                      multi_starts=6, seed=1)
@@ -162,13 +163,15 @@ def test_diagnostics_split_the_stages():
     assert d["grid_evaluations"] == 9 * 9 * 4 * 4 * 4 * 4
     assert d["refine_evaluations"] > 0
     assert d["grid_evaluations"] + d["refine_evaluations"] == d["n_evaluations"]
+    assert d["grid_distinct"] == 129 * 129
     assert sorted(d["timings"]) == ["grid_s", "refine_s"]
     assert all(t > 0 for t in d["timings"].values())
 
 
 def test_default_call_peak_traced_memory():
-    # measured: 7.5 MiB, most of it the six 0.74 MiB grid columns; the
-    # 8,192-point chunk loop took 24.2 MiB.  About 25 % margin.
+    # measured: 3.0 MiB, most of it the 512-point workspace (2.2 MiB) and
+    # the 289 x 289 pair table; the six-angle grid columns took 7.5 MiB and
+    # the 8,192-point chunk loop 24.2 MiB.  About 25 % margin.
     U = gate_matrix(0.6, 0.3)
     tracemalloc.start()
     try:
@@ -176,13 +179,48 @@ def test_default_call_peak_traced_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9.5 * 2**20
+    assert peak < 3.75 * 2**20
+
+
+def test_default_grid_scores_each_distinct_pair_once():
+    d = brute_force_power(gate_matrix(0.6, 0.3)).diagnostics
+    assert d["grid_evaluations"] == 13 * 13 * 4 * 4 * 6 * 6
+    # 13 * 4 * 6 = 312 triples per side, the 24 at angle 0 as one state
+    assert d["grid_distinct"] == 289 * 289
 
 
 @pytest.mark.parametrize("grid_n", [0, -3])
 def test_product_pair_power_rejects_empty_grid(grid_n):
     with pytest.raises(DomainError, match="grid_n"):
         product_pair_power(gate_matrix(0.6, 0.3), grid_n=grid_n)
+
+
+@pytest.mark.parametrize("grid_n", [2.5, 9.0, float("nan"), True])
+def test_product_pair_power_rejects_non_integer_grid(grid_n):
+    with pytest.raises(DomainError, match="grid_n must be an integer"):
+        product_pair_power(gate_matrix(0.6, 0.3), grid_n=grid_n)
+
+
+@pytest.mark.parametrize("name", sorted(non_finite_gates()))
+def test_oracle_entry_points_reject_non_finite_gates(name):
+    U = non_finite_gates()[name]
+    with pytest.raises(DomainError, match="finite"):
+        output_state(U, ProductInputParams(alpha=0.1, beta=0.1))
+    with pytest.raises(DomainError, match="finite"):
+        brute_force_power(U, LIGHT)
+    with pytest.raises(DomainError, match="finite"):
+        entanglement_of_product_input(U, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("position", range(6))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_product_input_rejects_non_finite_angle(position, bad):
+    angles = [0.4, 0.9, 0.0, 0.0, pi / 2, pi / 2]
+    angles[position] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # fails before any numpy warning
+        with pytest.raises(DomainError, match="finite"):
+            entanglement_of_product_input(gate_matrix(0.6, 0.3), *angles)
 
 
 def test_product_pair_power_pinned():
@@ -446,7 +484,8 @@ def test_grid_kernel_matches_einsum_reference(name):
     n_grid = flat[0].size
     for lo in range(0, n_grid, 8192):
         cols = [f[lo:lo + 8192] for f in flat]
-        assert same_bits(oracle._batch_entropies(U, *cols), reference_entropies(U, *cols))
+        factors = oracle._factors(np.stack(cols, axis=1))
+        assert same_bits(oracle._batch_entropies(U, *factors), reference_entropies(U, *cols))
     for i in range(0, n_grid, 977):
         point = [float(f[i]) for f in flat]
         amps = output_state(U, ProductInputParams(*point)).amplitudes
@@ -460,12 +499,13 @@ def test_batch_kernel_matches_einsum_reference(rows):
     x = oracle._LOWS + (oracle._HIGHS - oracle._LOWS) * rng.random((rows, 6))
     cols = np.ascontiguousarray(x.T)
     assert same_bits(oracle._entropies(U, x), reference_entropies(U, *cols))
-    assert same_bits(oracle._batch_entropies(U, *cols), reference_entropies(U, *cols))
+    assert same_bits(oracle._batch_entropies(U, *oracle._factors(x)),
+                     reference_entropies(U, *cols))
 
 
 # SHA-256 of the grid-stage entropies of brute_force_power, recorded with
-# the 8,192-point chunk loop that the workspace loop replaced; any moved
-# bit in the grid shows here.
+# the 8,192-point chunk loop over all six-angle grid points that the
+# pair grid of side states replaced; any moved bit in the grid shows here.
 GRID_DIGESTS = {
     ("swap", "default"): "00fdd1479d446aad761a17237d8dfe6f4b208315cb9194f21e175786e0948427",
     ("cnot", "default"): "fd4f36b0c6fe5248eea8aff8cfa15096ca4bd693b3c3daae0d57e8dd43f1094c",
@@ -484,9 +524,7 @@ GRID_DIGESTS = {
 def test_grid_values_pinned(gate, config):
     U = {**kernel_gates(), "dressed": dressed_gate()}[gate]
     cfg = {"default": SearchConfig(), "light": LIGHT}[config]
-    ab, mn, ph = oracle._grid_axes(cfg)
-    flat = [g.ravel() for g in np.meshgrid(ab, ab, ph, ph, mn, mn, indexing="ij")]
-    vals = oracle._grid_entropies(U, flat)
+    vals, _ = oracle._grid_entropies(U, *oracle._grid_axes(cfg))
     assert hashlib.sha256(vals.tobytes()).hexdigest() == GRID_DIGESTS[gate, config]
 
 

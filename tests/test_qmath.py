@@ -17,7 +17,7 @@ from epower.qmath import (
 from epower.canonical import CanonicalParams, coefficients_from_xyz
 from epower.epower2q import spectrum
 
-from conftest import random_chamber, random_unitary
+from conftest import non_finite_gates, random_chamber, random_unitary
 
 # exact: H(3/8, 3/8, 1/8, 1/8) = 3 - (3/4) log2 3
 H_3344 = 3.0 - 0.75 * np.log2(3.0)
@@ -87,6 +87,12 @@ class TestCheckUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(DomainError, match="deviates from unitary"):
             check_unitary(np.diag([1.0, 1.0, 1.0, 1.0 + 1e-9]))
+
+
+@pytest.mark.parametrize("name", sorted(non_finite_gates()))
+def test_check_unitary_rejects_non_finite(name):
+    with pytest.raises(DomainError, match="finite"):
+        check_unitary(non_finite_gates()[name])
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
