@@ -283,6 +283,29 @@ class TestEntanglingPower:
             assert res.value >= schmidt_strength(gate(x, y)) - 1e-9
 
 
+def _count_calls(monkeypatch, name):
+    """Replace ``epower2q.<name>`` by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(epower2q, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(epower2q, name, counted)
+    return calls
+
+
+def test_line_search_calls_module_level_profiles(monkeypatch):
+    # the solver reaches both profiles through the module globals, so a
+    # wrapper installed there sees one grid call and every golden step
+    grid_calls = _count_calls(monkeypatch, "line_profile_values")
+    point_calls = _count_calls(monkeypatch, "line_profile_value")
+    entangling_power_c2eqc3(0.6, 0.3)
+    assert len(grid_calls) == 1
+    assert len(point_calls) == 35
+
+
 class TestConjectureGap:
     def test_symmetric_point(self):
         assert conjecture_gap(pi / 4, pi / 4) <= 1e-9

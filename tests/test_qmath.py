@@ -73,6 +73,32 @@ class TestEntropyBits:
     def test_zero_entropy_is_not_negative_zero(self):
         assert np.copysign(1.0, entropy_bits([1.0, 0.0])) == 1.0
 
+    def test_same_bits_as_reference_expression(self):
+        # the expression entropy_bits had when its callers' digests were
+        # recorded; any rewrite of the kernel must keep its bits
+        def reference(p):
+            p = np.asarray(p, dtype=float)
+            return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1) + 0.0
+
+        rng = np.random.default_rng(1506)
+        panel = [rng.dirichlet(np.ones(n), size=200) for n in (2, 4)]
+        rows = rng.dirichlet(np.ones(4), size=300)
+        rows[::2, 1] = 0.0
+        rows[::3, 3] = -0.0
+        rows[::5, 0] = -1e-17
+        rows[::7, 2] = -1e-12
+        rows[::11] = 0.0
+        rows[1::13] = -0.0
+        panel += [rows, rows[:, :2], rows.reshape(30, 10, 4),
+                  np.array([1.0, 0.0]), np.array([1.0, -0.0, -1e-17, 0.0])]
+        panel += [row for row in rows[:60]]
+        for p in panel:
+            got = np.asarray(entropy_bits(p))
+            want = np.asarray(reference(p))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not np.signbit(got[got == 0.0]).any()
+
 
 class TestCheckUnitary:
     def test_accepts_unitary(self, rng):
