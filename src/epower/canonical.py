@@ -107,11 +107,12 @@ class PauliCoefficients:
 
 def coefficients_from_xyz(params: CanonicalParams) -> PauliCoefficients:
     """Coefficients of the normalized gate for chamber angles (x, y, z)."""
-    x, y, z = params.x, params.y, params.z
-    c0 = cos(x) * cos(y) * cos(z) + 1j * sin(x) * sin(y) * sin(z)
-    c1 = cos(x) * sin(y) * sin(z) + 1j * sin(x) * cos(y) * cos(z)
-    c2 = sin(x) * cos(y) * sin(z) + 1j * cos(x) * sin(y) * cos(z)
-    c3 = sin(x) * sin(y) * cos(z) + 1j * cos(x) * cos(y) * sin(z)
+    cx, cy, cz = cos(params.x), cos(params.y), cos(params.z)
+    sx, sy, sz = sin(params.x), sin(params.y), sin(params.z)
+    c0 = cx * cy * cz + 1j * sx * sy * sz
+    c1 = cx * sy * sz + 1j * sx * cy * cz
+    c2 = sx * cy * sz + 1j * cx * sy * cz
+    c3 = sx * sy * cz + 1j * cx * cy * sz
     return PauliCoefficients(c0, c1, c2, c3)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, sin, sqrt, pi, log2
+from time import perf_counter
 
 import numpy as np
 
@@ -128,15 +129,24 @@ class ProductInputParams:
 
 def _constants(c: PauliCoefficients):
     """Gate constants (b, a2, k, k2, l1, l2) of the closed-form spectrum,
-    in plain Python complex arithmetic (the bits of numpy's scalars)."""
-    c0, c1, c2, c3 = (complex(v) for v in (c.c0, c.c1, c.c2, c.c3))
-    b = abs(c0) ** 2 + abs(c3) ** 2
-    a2 = abs(c1) ** 2 + abs(c2) ** 2
-    k = (c0 * c3.conjugate() + c3 * c0.conjugate()).real
-    k2 = (c1 * c2.conjugate() + c2 * c1.conjugate()).real
-    l1 = abs(c0 * c3) ** 2
-    l2 = abs(c1 * c2) ** 2
-    return b, a2, k, k2, l1, l2
+    in plain Python complex arithmetic (the bits of numpy's scalars).
+
+    Computed once per coefficient object and kept in its ``__dict__``, as
+    ``functools.cached_property`` does on a frozen dataclass.  The cache
+    is never keyed by value: coefficients that compare equal but differ
+    in the sign of a zero can give constants that differ in that sign.
+    """
+    consts = c.__dict__.get("_spectrum_constants")
+    if consts is None:
+        c0, c1, c2, c3 = (complex(v) for v in (c.c0, c.c1, c.c2, c.c3))
+        b = abs(c0) ** 2 + abs(c3) ** 2
+        a2 = abs(c1) ** 2 + abs(c2) ** 2
+        k = (c0 * c3.conjugate() + c3 * c0.conjugate()).real
+        k2 = (c1 * c2.conjugate() + c2 * c1.conjugate()).real
+        l1 = abs(c0 * c3) ** 2
+        l2 = abs(c1 * c2) ** 2
+        consts = c.__dict__["_spectrum_constants"] = (b, a2, k, k2, l1, l2)
+    return consts
 
 
 def _lambda_pair(t, big_l):
@@ -157,9 +167,17 @@ def _lambda_pair(t, big_l):
 
 
 def _spectrum_arrays(c: PauliCoefficients, alpha, beta):
-    """Broadcast closed-form spectrum; returns (lam[..., 4], t1, t2)."""
+    """Broadcast closed-form spectrum; returns (lam[..., 4], t1, t2).
+
+    A NaN or inf angle raises DomainError here, before it can reach the
+    spectrum as NaN.
+    """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
+    for name, v in (("alpha", alpha), ("beta", beta)):
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise DomainError(f"{name}={float(v[bad][0])!r} must be finite")
     return _block_spectrum(c, np.cos(2 * alpha) * np.cos(2 * beta),
                            np.sin(2 * alpha) ** 2 * np.sin(2 * beta) ** 2)
 
@@ -247,14 +265,38 @@ def line_profile_value(c: PauliCoefficients, alpha: float) -> float:
     return float(entropy_bits(np.array([lo1, hi1, lo2, hi2])))
 
 
-def line_profile_values(c: PauliCoefficients, alphas) -> np.ndarray:
-    """Vectorized line profile over an array of alpha values in [0, pi/4]."""
-    alphas = np.asarray(alphas, dtype=float)
-    bad = ~((alphas >= -ALPHA_SLACK) & (alphas <= pi / 4 + ALPHA_SLACK))
-    if bad.any():
-        raise DomainError(f"alpha={float(alphas[bad][0])!r} outside [0, pi/4]")
-    # on the line beta = pi/2 - alpha: cc = -cos^2 2a, s_sq = sin^4 2a
-    lam, _, _ = _block_spectrum(c, -np.cos(2 * alphas) ** 2, np.sin(2 * alphas) ** 4)
+def _line_columns(alphas: np.ndarray):
+    """(cc, s_sq) on the line beta = pi/2 - alpha: -cos^2 2a and sin^4 2a."""
+    return -np.cos(2 * alphas) ** 2, np.sin(2 * alphas) ** 4
+
+
+@lru_cache(maxsize=None)
+def _line_grid():
+    """The solver's alpha grid linspace(0, pi/4, LINE_GRID_N) and its two
+    line columns, built once per process and read-only."""
+    alphas = np.linspace(0.0, pi / 4, LINE_GRID_N)
+    grid = (alphas, *_line_columns(alphas))
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
+
+
+def line_profile_values(c: PauliCoefficients, alphas=None) -> np.ndarray:
+    """Vectorized line profile over an array of alpha values in [0, pi/4].
+
+    Without ``alphas`` the profile is taken on the solver's grid,
+    ``linspace(0, pi/4, LINE_GRID_N)``, whose trig columns are computed
+    once per process.
+    """
+    if alphas is None:
+        _, cc, s_sq = _line_grid()
+    else:
+        alphas = np.asarray(alphas, dtype=float)
+        bad = ~((alphas >= -ALPHA_SLACK) & (alphas <= pi / 4 + ALPHA_SLACK))
+        if bad.any():
+            raise DomainError(f"alpha={float(alphas[bad][0])!r} outside [0, pi/4]")
+        cc, s_sq = _line_columns(alphas)
+    lam, _, _ = _block_spectrum(c, cc, s_sq)
     return entropy_bits(lam)
 
 
@@ -346,13 +388,16 @@ def partial_derivatives(c: PauliCoefficients, alpha: float, beta: float):
 
 
 def _golden_max(f, lo: float, hi: float):
-    """Golden-section maximization of a unimodal-enough scalar function."""
+    """Golden-section maximization of a unimodal-enough scalar function;
+    returns (argmax, max, number of calls of f)."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c_pt = b - inv_phi * (b - a)
     d_pt = a + inv_phi * (b - a)
     fc, fd = f(c_pt), f(d_pt)
+    nfev = 3  # the two above and the final one
     while b - a > BRACKET_TOL:
+        nfev += 1
         if fc >= fd:
             b, d_pt, fd = d_pt, c_pt, fc
             c_pt = b - inv_phi * (b - a)
@@ -362,20 +407,28 @@ def _golden_max(f, lo: float, hi: float):
             d_pt = a + inv_phi * (b - a)
             fd = f(d_pt)
     x_best = 0.5 * (a + b)
-    return x_best, f(x_best)
+    return x_best, f(x_best), nfev
 
 
 def _maximize_line(c: PauliCoefficients):
-    """Dense grid plus golden-section refinement of the line profile."""
-    alphas = np.linspace(0.0, pi / 4, LINE_GRID_N)
-    vals = line_profile_values(c, alphas)
+    """Dense grid plus golden-section refinement of the line profile.
+
+    Returns (argmax, max, edge value at 0, edge value at pi/4, diagnostics
+    with the stage timings and the number of refinement evaluations).
+    """
+    t0 = perf_counter()
+    alphas = _line_grid()[0]
+    vals = line_profile_values(c)
     i = int(np.argmax(vals))
     lo = alphas[max(i - 1, 0)]
     hi = alphas[min(i + 1, LINE_GRID_N - 1)]
-    a_star, v_star = _golden_max(lambda a: line_profile_value(c, a), lo, hi)
+    t1 = perf_counter()
+    a_star, v_star, nfev = _golden_max(lambda a: line_profile_value(c, a), lo, hi)
     if vals[i] > v_star:
         a_star, v_star = float(alphas[i]), float(vals[i])
-    return a_star, v_star, float(vals[0]), float(vals[-1])
+    diagnostics = {"timings": {"grid_s": t1 - t0, "refine_s": perf_counter() - t1},
+                   "line_evaluations": nfev}
+    return a_star, v_star, float(vals[0]), float(vals[-1]), diagnostics
 
 
 def entangling_power_c2eqc3(x: float, y: float) -> EntanglingPowerResult:
@@ -398,14 +451,14 @@ def entangling_power_c2eqc3(x: float, y: float) -> EntanglingPowerResult:
                          **sub.diagnostics},
         )
 
-    a_star, v_star, v0, v4 = _maximize_line(c)
+    a_star, v_star, v0, v4, line_diagnostics = _maximize_line(c)
     branch, candidates = _boundary_candidates(c, x, y, v0, v4)
     candidates.append(
         (v_star, a_star, pi / 2 - a_star, "line interior", "line_scan"))
     return _best_candidate(candidates, {
         "branch": branch,
         "line_max": v_star, "line_argmax": a_star,
-        "edge_values": (v0, v4), "grid_n": LINE_GRID_N})
+        "edge_values": (v0, v4), "grid_n": LINE_GRID_N, **line_diagnostics})
 
 
 def conjecture_gap(x: float, y: float) -> float:

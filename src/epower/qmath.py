@@ -45,7 +45,8 @@ class DomainError(ValueError):
 def entropy_bits(p):
     """-sum p log2 p over the last axis; entries <= 0 contribute 0."""
     p = np.asarray(p, dtype=float)
-    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1) + 0.0  # no -0.0
+    # 0.0 - s gives +0.0 for a sum of either signed zero
+    return 0.0 - np.add.reduce(p * np.log2(np.where(p > 0.0, p, 1.0)), axis=-1)
 
 
 def check_unitary(U) -> np.ndarray:

@@ -108,6 +108,24 @@ class TestSpectrum:
             Spectrum(np.array([0.3, 0.3, 0.3, 0.3]), 0.6, 0.6)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+CLOSED_FORM_ENTRY_POINTS = {
+    "entanglement_grid": lambda c, a, b: entanglement_grid(c, [0.2, a], [b]),
+    "spectrum": spectrum,
+    "entanglement_at": entanglement_at,
+    "partial_derivatives": partial_derivatives,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CLOSED_FORM_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_closed_form_rejects_non_finite_angle(entry, bad, name):
+    angles = {"alpha": 0.3, "beta": 0.4, name: bad}
+    with pytest.raises(DomainError, match=f"{name}={bad!r} must be finite"):
+        CLOSED_FORM_ENTRY_POINTS[entry](gate(0.6, 0.3), angles["alpha"], angles["beta"])
+
+
 class TestEntanglementAt:
     def test_identity_gate(self):
         assert entanglement_at(PauliCoefficients(1, 0, 0, 0), 0.7, 0.2) == pytest.approx(
@@ -205,6 +223,18 @@ class TestPartialDerivatives:
             assert b >= 0.5 - 1e-12
 
 
+def test_constants_are_kept_per_object_not_per_value():
+    # equal coefficients that differ in the sign of a zero give a k of
+    # +0.0 and -0.0; a cache keyed by value would hand one the other's
+    plus = PauliCoefficients(1.0, 0.0, 0.0, 0.0)
+    minus = PauliCoefficients(1.0, 0.0, 0.0, complex(-0.0, -0.0))
+    assert plus == minus
+    k_plus = epower2q._constants(plus)[2]
+    k_minus = epower2q._constants(minus)[2]
+    assert (np.signbit(k_plus), np.signbit(k_minus)) == (False, True)
+    assert epower2q._constants(plus) is epower2q._constants(plus)
+
+
 class TestLineProfile:
     def test_balanced_edge_equals_strength(self):
         c = gate(0.6, 0.3)
@@ -241,6 +271,21 @@ class TestLineProfile:
         for a in (-1e-13, pi / 4 + 1e-13):
             assert line_profile_values(c, [a])[0] == pytest.approx(
                 line_profile_value(c, a), abs=1e-15)
+
+    def test_default_grid_is_the_solver_grid(self):
+        c = gate(0.6, 0.3)
+        alphas = np.linspace(0.0, pi / 4, epower2q.LINE_GRID_N)
+        assert line_profile_values(c).tobytes() == line_profile_values(c, alphas).tobytes()
+
+    def test_cached_grid_is_fresh_and_read_only(self):
+        alphas, cc, s_sq = epower2q._line_grid()
+        fresh = np.linspace(0.0, pi / 4, epower2q.LINE_GRID_N)
+        assert alphas.tobytes() == fresh.tobytes()
+        assert cc.tobytes() == (-np.cos(2 * fresh) ** 2).tobytes()
+        assert s_sq.tobytes() == (np.sin(2 * fresh) ** 4).tobytes()
+        for arr in (alphas, cc, s_sq):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
     def test_vectorized_matches_scalar(self):
         c = gate(0.5, 0.1)
@@ -304,6 +349,15 @@ def test_line_search_calls_module_level_profiles(monkeypatch):
     entangling_power_c2eqc3(0.6, 0.3)
     assert len(grid_calls) == 1
     assert len(point_calls) == 35
+
+
+@pytest.mark.parametrize("x, y", [(0.6, 0.3), (pi / 4, pi / 4), (0.3, 0.3), (0.7, 0.01)])
+def test_line_diagnostics_count_and_time_the_stages(monkeypatch, x, y):
+    point_calls = _count_calls(monkeypatch, "line_profile_value")
+    d = entangling_power_c2eqc3(x, y).diagnostics
+    assert d["line_evaluations"] == len(point_calls)
+    assert sorted(d["timings"]) == ["grid_s", "refine_s"]
+    assert all(t >= 0.0 for t in d["timings"].values())
 
 
 class TestConjectureGap:
