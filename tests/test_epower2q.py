@@ -576,3 +576,57 @@ def test_line_profile_digest():
             lines.append(repr((x, y, float(a), line_profile_value(c, a))))
     assert len(lines) == 10_000
     assert _digest(lines) == LINE_PROFILE_DIGEST
+
+
+def _array_gates():
+    """Fifty seeded chamber gates (x, y) for the array paths of the closed
+    form: generic ones, y = x, x = pi/4 and a few named ones."""
+    rng = np.random.default_rng(1606)
+    points = [(0.0, 0.0), (pi / 4, pi / 4), (pi / 4, 0.0), (0.6, 0.3)]
+    points += [random_chamber(rng)[:2] for _ in range(30)]
+    points += [(x, x) for x in rng.uniform(0.0, pi / 4, 8)]
+    points += [(pi / 4, y) for y in rng.uniform(0.0, pi / 4, 8)]
+    return points
+
+
+def _arrays_digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _solver_grid_profiles():
+    return [line_profile_values(gate(x, y)) for x, y in _array_gates()]
+
+
+def _seeded_alpha_profiles():
+    rng = np.random.default_rng(1607)
+    return [line_profile_values(gate(x, y), rng.uniform(0.0, pi / 4, n))
+            for x, y in _array_gates() for n in (1, 2, 7, 401)]
+
+
+def _seeded_outer_grids():
+    rng = np.random.default_rng(1608)
+    return [entanglement_grid(gate(x, y), rng.uniform(0.0, pi / 2, na),
+                              rng.uniform(0.0, pi / 2, nb))
+            for x, y in _array_gates() for na, nb in ((1, 1), (3, 5), (17, 11))]
+
+
+# SHA-256 of the shapes and bytes of the closed-form spectrum's array
+# paths, recorded with the spectrum laid out points-first as a C-ordered
+# (..., 4) array; any moved bit shows here.
+ARRAY_DIGESTS = {
+    "outer_grid": "f973e22cf95fa8e4e03813f991ed70a055134a9fd112297961e38ffabfd4551b",
+    "seeded_alphas": "2d3377027d587792397fa823dfd3f5936418a7bffbf49b7d9958ffae06a7a0f1",
+    "solver_grid": "3e7a9fb97352ab4a59cbc1ce543105d7f443bc7c36f1b1efd7db6c2c243d3838",
+}
+ARRAY_PANELS = {"outer_grid": _seeded_outer_grids, "seeded_alphas": _seeded_alpha_profiles,
+                "solver_grid": _solver_grid_profiles}
+
+
+@pytest.mark.parametrize("panel", sorted(ARRAY_DIGESTS))
+def test_closed_form_array_digest(panel):
+    assert len(_array_gates()) == 50
+    assert _arrays_digest(ARRAY_PANELS[panel]()) == ARRAY_DIGESTS[panel]

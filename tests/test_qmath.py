@@ -99,6 +99,28 @@ class TestEntropyBits:
             assert got.tobytes() == want.tobytes()
             assert not np.signbit(got[got == 0.0]).any()
 
+    def test_components_first_view_keeps_the_bits(self):
+        # a row of fewer than eight entries is added left to right in
+        # either memory layout, so a components-first (K, ...) array read
+        # through a transposed view gives the bits of its C-ordered copy
+        rng = np.random.default_rng(1606)
+
+        def columns(shape, k):
+            cols = 10.0 ** rng.uniform(-8.0, 8.0, (k, *shape))
+            cols[rng.random(cols.shape) < 0.2] = 0.0
+            return cols
+
+        views = [np.array(list(columns((n,), k))).T
+                 for k in (2, 4) for n in (1, 2, 3, 7, 8, 9, 17, 401, 2001)]
+        views += [columns(shape, 4).transpose((1, 2, 0))
+                  for shape in ((1, 1), (3, 5), (17, 11), (40, 50))]
+        for view in views:
+            copy = np.ascontiguousarray(view)
+            assert not view.flags.c_contiguous or view.shape[0] == 1
+            got, want = entropy_bits(view), entropy_bits(copy)
+            assert got.shape == want.shape == view.shape[:-1]
+            assert got.tobytes() == want.tobytes()
+
 
 class TestCheckUnitary:
     def test_accepts_unitary(self, rng):
