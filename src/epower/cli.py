@@ -35,6 +35,10 @@ from .schmidt2 import PhaseGateSpec, entangling_power_phase_gate, phase_gate_mat
 
 __all__ = ["main"]
 
+# numpy refuses a float64 array of more entries than this with a ValueError;
+# f2 scans n + 2 points
+MAX_SCAN_COUNT = np.iinfo(np.intp).max // 8 - 2
+
 
 def _seed(args) -> int:
     """``--seed``, else EPOWER_SEED, else 0; a nonnegative integer."""
@@ -126,18 +130,21 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    n = args.n if args.mode == "line" else args.grid
+    if n > MAX_SCAN_COUNT:
+        raise DomainError(f"scan count {n} is more than a numpy array can hold "
+                          f"({MAX_SCAN_COUNT} points at most)")
     if args.mode == "line":
-        if args.n < 2:
+        if n < 2:
             raise DomainError("line scan needs at least 2 points")
         c = coefficients_from_xyz(CanonicalParams(args.x, args.y, args.y))
-        alphas = np.linspace(0.0, pi / 4, args.n)
+        alphas = np.linspace(0.0, pi / 4, n)
         values = line_profile_values(c, alphas)
         print("alpha,E")
         for a, v in zip(alphas, values):
             print(f"{float(a)!r},{float(v)!r}")
         return 0
 
-    n = args.grid
     if n < 3:
         raise DomainError("derivative grids need at least 3 points")
     print("y,csq,value")

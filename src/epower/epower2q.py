@@ -152,17 +152,15 @@ def _constants(c: PauliCoefficients):
 def _lambda_pair(t, big_l):
     """Stable eigenvalue pair ((t -+ sqrt(t^2-4L))/2) with product form.
 
-    The small root is recovered from lam_lo * lam_hi = L to avoid the
-    cancellation in t - sqrt(t^2 - 4L).
+    The small root is recovered from lam_lo * lam_hi = L, dividing by at
+    least 1e-300, to avoid the cancellation in t - sqrt(t^2 - 4L).
     """
-    t = np.asarray(t, dtype=float)
-    big_l = np.asarray(big_l, dtype=float)
     disc = t * t - 4.0 * big_l
-    if np.any(disc < -1e-10):
+    if (disc < -1e-10).any():
         raise RuntimeError(f"negative discriminant {disc.min():.3e} in spectrum")
     hi = 0.5 * (t + np.sqrt(np.clip(disc, 0.0, None)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo = np.where(hi > 1e-300, big_l / np.where(hi > 1e-300, hi, 1.0), 0.0)
+    pos = hi > 1e-300
+    lo = np.where(pos, big_l / np.where(pos, hi, 1.0), 0.0)
     return lo, hi
 
 
@@ -183,14 +181,15 @@ def _spectrum_arrays(c: PauliCoefficients, alpha, beta):
 
 
 def _block_spectrum(c: PauliCoefficients, cc, s_sq):
-    """Spectrum from cc = cos 2a cos 2b and s_sq = sin^2 2a sin^2 2b."""
+    """Spectrum from cc = cos 2a cos 2b and s_sq = sin^2 2a sin^2 2b; ``lam`` is
+    components-first in memory, so entropy_bits sums its rows as vector adds."""
     b, a2, k, k2, l1, l2 = _constants(c)
     t1 = b + cc * k
     t2 = a2 - cc * k2
     lo1, hi1 = _lambda_pair(t1, l1 * s_sq)
     lo2, hi2 = _lambda_pair(t2, l2 * s_sq)
-    lam = np.stack(np.broadcast_arrays(lo1, hi1, lo2, hi2), axis=-1)
-    return lam, t1, t2
+    lam = np.array([lo1, hi1, lo2, hi2])
+    return lam.transpose((*range(1, lam.ndim), 0)), t1, t2
 
 
 def reduced_density_closed_form(c: PauliCoefficients, alpha: float, beta: float) -> DensityMatrix:

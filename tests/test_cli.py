@@ -306,6 +306,16 @@ class TestScan:
         assert run_cli(capsys, "scan", "line", "--x", "0.6", "--y", "0.3",
                        "--n", "1")[0] == 2
 
+    # 10**20 is past what numpy will try to allocate; never test a count
+    # below that, which would really allocate
+    @pytest.mark.parametrize("argv", [("line", "--x", "0.6", "--y", "0.3", "--n"),
+                                      ("f1", "--grid"), ("f2", "--grid")])
+    def test_oversized_count_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, "scan", *argv, str(10**20))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: scan count {10**20} is more than")
+
     def test_closed_stdout_exits_141_without_traceback(self):
         # the output (about 8 MB) outgrows the pipe, so a write meets the
         # closed reader, as under `| head -c 50`
