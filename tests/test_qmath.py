@@ -110,7 +110,7 @@ class TestEntropyBits:
             cols[rng.random(cols.shape) < 0.2] = 0.0
             return cols
 
-        views = [np.array(list(columns((n,), k))).T
+        views = [columns((n,), k).T
                  for k in (2, 4) for n in (1, 2, 3, 7, 8, 9, 17, 401, 2001)]
         views += [columns(shape, 4).transpose((1, 2, 0))
                   for shape in ((1, 1), (3, 5), (17, 11), (40, 50))]
