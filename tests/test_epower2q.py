@@ -630,3 +630,43 @@ ARRAY_PANELS = {"outer_grid": _seeded_outer_grids, "seeded_alphas": _seeded_alph
 def test_closed_form_array_digest(panel):
     assert len(_array_gates()) == 50
     assert _arrays_digest(ARRAY_PANELS[panel]()) == ARRAY_DIGESTS[panel]
+
+
+def _golden_gates():
+    """About 200 seeded chamber gates (x, y) with y > 0, so each runs the
+    golden search: generic ones, y = x and x = pi/4."""
+    rng = np.random.default_rng(1701)
+    points = [(0.6, 0.3), (pi / 4, pi / 4), (pi / 8, pi / 8), (0.7, 0.01)]
+    points += [random_chamber(rng, strict=True)[:2] for _ in range(156)]
+    points += [(x, x) for x in rng.uniform(1e-3, pi / 4, 20)]
+    points += [(pi / 4, y) for y in rng.uniform(1e-3, pi / 4, 20)]
+    return points
+
+
+# SHA-256 of every (alpha, value) pair the golden search passed to its
+# function and got back, and of its (repr(argmax), max, nfev), recorded
+# with the search on numpy scalars; any moved point or bit shows here.
+GOLDEN_TRACE_DIGEST = "5aacbaca1cbe42ab5dbfd48796f81add6e38be6e8a861a33eb776e47d4bebe5b"
+
+
+def test_golden_search_trace_digest(monkeypatch):
+    golden = epower2q._golden_max
+    lines = []
+
+    def traced(f, lo, hi):
+        def g(a):
+            v = f(a)
+            lines.append(repr((float(a), float(v))))
+            return v
+
+        a_star, v_star, nfev = golden(g, lo, hi)
+        lines.append(repr((repr(a_star), float(v_star), nfev)))
+        return a_star, v_star, nfev
+
+    monkeypatch.setattr(epower2q, "_golden_max", traced)
+    gates = _golden_gates()
+    for x, y in gates:
+        entangling_power_c2eqc3(x, y)
+    assert len(gates) == 200
+    assert len(lines) == 36 * len(gates)
+    assert _digest(lines) == GOLDEN_TRACE_DIGEST

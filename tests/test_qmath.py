@@ -23,6 +23,25 @@ from conftest import non_finite_gates, random_chamber, random_unitary
 H_3344 = 3.0 - 0.75 * np.log2(3.0)
 
 
+def four_entry_panel():
+    """Seeded 4-rows with zeros, -0.0, negatives down to -1e-10,
+    subnormals and entries within 1e-12 of 1."""
+    rng = np.random.default_rng(1701)
+    rows = rng.dirichlet(np.ones(4), size=4000)
+    rows[::2, 1] = 0.0
+    rows[::3, 3] = -0.0
+    rows[::5, 0] = -10.0 ** rng.uniform(-17.0, -10.0, rows[::5].shape[0])
+    rows[1::7, 2] = 5e-324 * rng.integers(1, 2**52, rows[1::7].shape[0])
+    near_one = rows[2::9]
+    near_one[:, 0] = 1.0 - 10.0 ** rng.uniform(-16.0, -12.0, near_one.shape[0])
+    near_one[:, 1:] = (1.0 - near_one[:, :1]) * rng.dirichlet(np.ones(3), near_one.shape[0])
+    rows[2::9] = near_one
+    rows[3::11] = rng.permuted(rows[3::11], axis=1)
+    rows[::101] = 0.0
+    rows[1::103] = -0.0
+    return rows
+
+
 class TestShannonEntropy:
     def test_uniform_two(self):
         assert shannon_entropy([0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
@@ -120,6 +139,18 @@ class TestEntropyBits:
             got, want = entropy_bits(view), entropy_bits(copy)
             assert got.shape == want.shape == view.shape[:-1]
             assert got.tobytes() == want.tobytes()
+
+    def test_four_entry_row_is_summed_left_to_right(self):
+        # numpy's log2 on a contiguous 4-vector and its add.reduce of a
+        # row of four, left to right, reproduced on Python floats; a numpy
+        # whose loops round or associate differently fails here
+        for row in four_entry_panel():
+            p0, p1, p2, p3 = row.tolist()
+            l0, l1, l2, l3 = np.log2(
+                [v if v > 0.0 else 1.0 for v in row.tolist()]).tolist()
+            want = 0.0 - (((p0 * l0 + p1 * l1) + p2 * l2) + p3 * l3)
+            got = entropy_bits(np.array(row.tolist()))
+            assert got.tobytes() == np.float64(want).tobytes()
 
 
 class TestCheckUnitary:
