@@ -23,7 +23,7 @@ from .canonical import (
     coefficients_from_xyz,
     schmidt_rank,
 )
-from .qmath import DensityMatrix, DomainError, entropy_bits, shannon_entropy
+from .qmath import DensityMatrix, DomainError, entropy_bits, entropy_bits4, shannon_entropy
 from .results import EntanglingPowerResult
 
 __all__ = [
@@ -249,8 +249,10 @@ def line_profile_value(c: PauliCoefficients, alpha: float) -> float:
     """Entanglement at (alpha, pi/2 - alpha) for alpha in [0, pi/4].
 
     The golden-section refinement calls this once per point, so it works
-    on Python floats and ``math``, where numpy 0-d arrays would spend most
-    of the time in dispatch.  Python's ``**`` runs libm ``pow``; numpy's
+    on Python floats and ``math`` to the end, where numpy 0-d arrays or a
+    4-vector through ``entropy_bits`` would spend most of the time in
+    dispatch; ``entropy_bits4`` sums the entropy with the bits
+    ``entropy_bits`` gives.  Python's ``**`` runs libm ``pow``; numpy's
     array power does not, so ``line_profile_values`` can differ from this
     in the last bit.
     """
@@ -261,7 +263,7 @@ def line_profile_value(c: PauliCoefficients, alpha: float) -> float:
     s_sq = sin(2 * alpha) ** 4
     lo1, hi1 = _scalar_pair(b + cc * k, l1 * s_sq)
     lo2, hi2 = _scalar_pair(a2 - cc * k2, l2 * s_sq)
-    return float(entropy_bits(np.array([lo1, hi1, lo2, hi2])))
+    return entropy_bits4((lo1, hi1, lo2, hi2))
 
 
 def _line_columns(alphas: np.ndarray):
@@ -388,9 +390,16 @@ def partial_derivatives(c: PauliCoefficients, alpha: float, beta: float):
 
 def _golden_max(f, lo: float, hi: float):
     """Golden-section maximization of a unimodal-enough scalar function;
-    returns (argmax, max, number of calls of f)."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    returns (argmax, max, number of calls of f).
+
+    The search runs on Python floats, whose +, -, * and sqrt round as
+    numpy's do, at a fraction of the cost of numpy scalars.  The argmax is
+    handed back as ``np.float64``, the type the search had when it ran on
+    the numpy grid's scalars, so its ``repr`` in the solver's diagnostics
+    stays as recorded.
+    """
+    inv_phi = (sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
     c_pt = b - inv_phi * (b - a)
     d_pt = a + inv_phi * (b - a)
     fc, fd = f(c_pt), f(d_pt)
@@ -406,7 +415,7 @@ def _golden_max(f, lo: float, hi: float):
             d_pt = a + inv_phi * (b - a)
             fd = f(d_pt)
     x_best = 0.5 * (a + b)
-    return x_best, f(x_best), nfev
+    return np.float64(x_best), f(x_best), nfev
 
 
 def _maximize_line(c: PauliCoefficients):

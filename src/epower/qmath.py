@@ -19,6 +19,7 @@ __all__ = [
     "DensityMatrix",
     "StateVector",
     "entropy_bits",
+    "entropy_bits4",
     "check_unitary",
     "shannon_entropy",
     "von_neumann_entropy",
@@ -43,10 +44,32 @@ class DomainError(ValueError):
 
 
 def entropy_bits(p):
-    """-sum p log2 p over the last axis; entries <= 0 contribute 0."""
+    """-sum p log2 p over the last axis; entries <= 0 contribute 0.
+
+    The array kernel; ``entropy_bits4`` is its twin for one row of four
+    Python floats and gives the same bits under the same contract.
+    """
     p = np.asarray(p, dtype=float)
     # 0.0 - s gives +0.0 for a sum of either signed zero
     return 0.0 - np.add.reduce(p * np.log2(np.where(p > 0.0, p, 1.0)), axis=-1)
+
+
+def entropy_bits4(p) -> float:
+    """``entropy_bits`` of one row of four floats, as a Python float.
+
+    The scalar twin of ``entropy_bits``, for callers that score one point
+    at a time, where array dispatch would cost more than the arithmetic.
+    Same contract and same bits: entries <= 0 contribute 0, and the result
+    is never -0.0.  The logs come from one ``np.log2`` call on a contiguous
+    4-vector, the loop ``entropy_bits`` runs (``math.log2`` differs from it
+    in the last bit on some inputs).  Python float products round as
+    numpy's do, and numpy's ``add.reduce`` sums a row of fewer than eight
+    entries left to right, so the sum below is its sum only for such short
+    rows; a longer row is summed pairwise.
+    """
+    p0, p1, p2, p3 = p
+    l0, l1, l2, l3 = np.log2([v if v > 0.0 else 1.0 for v in p]).tolist()
+    return 0.0 - (((p0 * l0 + p1 * l1) + p2 * l2) + p3 * l3)
 
 
 def check_unitary(U) -> np.ndarray:

@@ -63,6 +63,9 @@ class PhaseGateSpec:
             raise DomainError("phase gate needs at least two phases")
         if not all(isfinite(t) for t in th):
             raise DomainError(f"phases must be finite, got {th!r}")
+        # every formula takes pairwise differences, the largest of them included
+        if not isfinite(max(th) - min(th)):
+            raise DomainError(f"phase differences must be finite, got {th!r}")
         object.__setattr__(self, "thetas", th)
 
     @property

@@ -200,6 +200,15 @@ class TestCompute:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("phases", ["1e308,-1e308", "1e308,-1e308,0", "1e308,-1e308,0,1"])
+    @pytest.mark.parametrize("verify", [(), ("--verify",)])
+    def test_overflowing_phase_difference_exits_two(self, capsys, phases, verify):
+        code, out, err = run_cli(capsys, "compute", "--phases", phases, "--json", *verify)
+        assert code == 2
+        assert out == ""
+        assert "phase differences must be finite" in err
+        assert "Traceback" not in err
+
     def test_near_antipodal_triple(self, capsys):
         # the stationary weights sum to 1 - 1.2e-10, within the 1e-9 tolerance
         code, out, _ = run_cli(

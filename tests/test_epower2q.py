@@ -35,7 +35,14 @@ from epower.epower2q import (
     spectrum,
 )
 from epower.oracle import output_state
-from epower.qmath import DomainError, majorizes, partial_trace, shannon_entropy
+from epower.qmath import (
+    DomainError,
+    entropy_bits,
+    entropy_bits4,
+    majorizes,
+    partial_trace,
+    shannon_entropy,
+)
 
 from conftest import random_chamber
 
@@ -630,6 +637,28 @@ ARRAY_PANELS = {"outer_grid": _seeded_outer_grids, "seeded_alphas": _seeded_alph
 def test_closed_form_array_digest(panel):
     assert len(_array_gates()) == 50
     assert _arrays_digest(ARRAY_PANELS[panel]()) == ARRAY_DIGESTS[panel]
+
+
+def test_scalar_line_profile_keeps_entropy_bits(monkeypatch):
+    # line_profile_value sums its spectrum in Python floats; the value must
+    # be the bits entropy_bits gives on that spectrum as a 4-vector
+    spectra = []
+
+    def recorded(p):
+        spectra.append(p)
+        return entropy_bits4(p)
+
+    monkeypatch.setattr(epower2q, "entropy_bits4", recorded)
+    rng = np.random.default_rng(1702)
+    for _ in range(100):
+        x, y, _ = random_chamber(rng)
+        c = gate(x, y)
+        for a in [0.0, pi / 4, *rng.uniform(0.0, pi / 4, 48)]:
+            v = line_profile_value(c, a)
+            assert type(v) is float
+            want = entropy_bits(np.array(spectra[-1]))
+            assert np.float64(v).tobytes() == want.tobytes()
+    assert len(spectra) == 5_000
 
 
 def _golden_gates():

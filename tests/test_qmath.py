@@ -9,6 +9,7 @@ from epower.qmath import (
     StateVector,
     check_unitary,
     entropy_bits,
+    entropy_bits4,
     majorizes,
     partial_trace,
     shannon_entropy,
@@ -151,6 +152,15 @@ class TestEntropyBits:
             want = 0.0 - (((p0 * l0 + p1 * l1) + p2 * l2) + p3 * l3)
             got = entropy_bits(np.array(row.tolist()))
             assert got.tobytes() == np.float64(want).tobytes()
+
+    def test_scalar_twin_matches_bitwise(self):
+        rows = four_entry_panel()
+        got = [entropy_bits4(row.tolist()) for row in rows]
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == entropy_bits(rows).tobytes()
+        for row, v in zip(rows[:500], got):
+            assert np.float64(v).tobytes() == entropy_bits(row).tobytes()
+        assert not np.signbit([v for v in got if v == 0.0]).any()
 
 
 class TestCheckUnitary:

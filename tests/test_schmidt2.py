@@ -202,6 +202,19 @@ class TestEntanglingPowerPhaseGate:
         with pytest.raises(DomainError, match="finite"):
             PhaseGateSpec((0.0, 0.3, 2.0, bad))
 
+    @pytest.mark.parametrize("thetas", [
+        (1e308, -1e308), (1e308, -1e308, 0.0), (1e308, -1e308, 0.0, 1.0),
+        (0.0, 1.7e308, -1e307)])
+    def test_rejects_overflowing_phase_difference(self, thetas):
+        with pytest.raises(DomainError, match="differences must be finite"):
+            PhaseGateSpec(thetas)
+
+    @pytest.mark.parametrize("thetas", [(8e307, -8e307), (8e307, -8e307, 0.0),
+                                        (8e307, -8e307, 0.0, 1.0)])
+    def test_accepts_large_finite_phase_difference(self, thetas):
+        assert PhaseGateSpec(thetas).thetas == thetas
+        assert 0.0 <= entangling_power_phase_gate(PhaseGateSpec(thetas)).value <= 1.0
+
     @pytest.mark.parametrize("thetas,case", [
         ((0.0, 0.5, 1.0, pi), "certificate"),
         ((0.0, 0.7, 2.0, pi - 1e-9), "pair"),
