@@ -62,10 +62,10 @@ def entropy_bits4(p) -> float:
     Same contract and same bits: entries <= 0 contribute 0, and the result
     is never -0.0.  The logs come from one ``np.log2`` call on a contiguous
     4-vector, the loop ``entropy_bits`` runs (``math.log2`` differs from it
-    in the last bit on some inputs).  Python float products round as
-    numpy's do, and numpy's ``add.reduce`` sums a row of fewer than eight
-    entries left to right, so the sum below is its sum only for such short
-    rows; a longer row is summed pairwise.
+    in the last bit on some inputs).  Float products round as numpy's do,
+    and numpy's ``add.reduce`` sums a row of fewer than eight entries left
+    to right, as below; a longer row is summed pairwise, so this form holds
+    only for short rows.
     """
     p0, p1, p2, p3 = p
     l0, l1, l2, l3 = np.log2([v if v > 0.0 else 1.0 for v in p]).tolist()
