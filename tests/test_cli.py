@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -104,6 +105,66 @@ PINNED_VERIFY_JSON = (
     '0.000e+00 over 1 gates; 0 finding(s) above 1e-9 (reported, not failed)", '
     '"findings": [], "name": "edge-maximum conjecture harness", "passed": true}], '
     '"passed": true, "samples": 10, "seed": 0}\n')
+
+# stdout of `compute --phases P --verify` in text form and in `--json` form
+# with seed 0, recorded while the solver still ran the simplex oracle itself;
+# both seeds print the same digits
+PINNED_VERIFY_PHASES = {
+    # n = 3, pair
+    "0,1,2": (
+        'value_ebits = 0.7777477169623613\ncritical    = pair (0, 2) at weights '
+        '(1/2, 1/2)\nmethod      = closed_form\noracle_gap = 0.0\n',
+        '{"command": "compute--phases", "critical": "pair (0, 2) at weights (1/2, '
+        '1/2)", "method": "closed_form", "params": {"thetas": [0.0, 1.0, 2.0]}, '
+        '"residuals": {"oracle_gap": 0.0}, "seed": 0, "value_ebits": '
+        '0.7777477169623613}\n'),
+    # n = 3, interior
+    "0,2.0943951023931953,4.1887902047863905": (
+        'value_ebits = 1.0\ncritical    = interior stationary weights\nmethod      = '
+        'closed_form\noracle_gap = -1.1102230246251565e-16\n',
+        '{"command": "compute--phases", "critical": "interior stationary weights", '
+        '"method": "closed_form", "params": {"thetas": [0.0, 2.0943951023931953, '
+        '4.1887902047863905]}, "residuals": {"oracle_gap": -1.1102230246251565e-16}, '
+        '"seed": 0, "value_ebits": 1.0}\n'),
+    # certificate
+    "0,1.5707963267948966,3.141592653589793,4.71238898038469": (
+        'value_ebits = 1.0\ncritical    = stationary simplex point (full ebit)\n'
+        'method      = closed_form\noracle_gap = 0.0\n',
+        '{"command": "compute--phases", "critical": "stationary simplex point (full '
+        'ebit)", "method": "closed_form", "params": {"thetas": [0.0, '
+        '1.5707963267948966, 3.141592653589793, 4.71238898038469]}, "residuals": '
+        '{"oracle_gap": 0.0}, "seed": 0, "value_ebits": 1.0}\n'),
+    # n = 5, pair; the oracle adds seeded restarts
+    "0,0.3,0.9,1.4,2.0": (
+        'value_ebits = 0.7777477169623613\ncritical    = pair (0, 4) at weights '
+        '(1/2, 1/2)\nmethod      = closed_form\noracle_gap = 0.0\n',
+        '{"command": "compute--phases", "critical": "pair (0, 4) at weights (1/2, '
+        '1/2)", "method": "closed_form", "params": {"thetas": [0.0, 0.3, 0.9, 1.4, '
+        '2.0]}, "residuals": {"oracle_gap": 0.0}, "seed": 0, "value_ebits": '
+        '0.7777477169623613}\n'),
+    "0,0.7,1.4,2.1,2.8,3.5,4.2,4.9,5.6": (
+        'value_ebits = 1.0\ncritical    = stationary simplex point (full ebit)\n'
+        'method      = closed_form\noracle_gap = -1.1102230246251565e-16\n',
+        '{"command": "compute--phases", "critical": "stationary simplex point (full '
+        'ebit)", "method": "closed_form", "params": {"thetas": [0.0, 0.7, 1.4, 2.1, '
+        '2.8, 3.5, 4.2, 4.9, 5.6]}, "residuals": {"oracle_gap": '
+        '-1.1102230246251565e-16}, "seed": 0, "value_ebits": 1.0}\n'),
+    # n = 2 goes to the brute-force oracle
+    "0,1.3": (
+        'value_ebits = 0.4751720719032304\ncritical    = pair (0, 1) at weights '
+        '(1/2, 1/2)\nmethod      = closed_form\noracle_gap = 8.992806499463768e-15\n'
+        'oracle_value = 0.4751720719032394\n',
+        '{"command": "compute--phases", "critical": "pair (0, 1) at weights (1/2, '
+        '1/2)", "method": "closed_form", "params": {"thetas": [0.0, 1.3]}, '
+        '"residuals": {"oracle_gap": 8.992806499463768e-15, "oracle_value": '
+        '0.4751720719032394}, "seed": 0, "value_ebits": 0.4751720719032304}\n'),
+}
+
+# SHA-256 of the stdout of `scan MODE --grid 31`
+PINNED_SCAN_SHA256 = {
+    "f1": "e35dfec7d7982aeec3d6adcc6b5aec37d16c4b06b87334a5b42f571f43c6b37c",
+    "f2": "ce171c6a41e283ca294ed6b09539d351d471df4e04c7aa6cf094e4fa1a1371a6",
+}
 
 
 def run_cli(capsys, *argv):
@@ -269,6 +330,21 @@ class TestCompute:
         assert code == 0
         assert set(json.loads(out)["residuals"]) == keys
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("phases", list(PINNED_VERIFY_PHASES))
+    def test_verify_output_pinned(self, capsys, phases, seed, fmt):
+        text, as_json = PINNED_VERIFY_PHASES[phases]
+        argv = ["compute", "--phases", phases, "--verify", "--seed", str(seed)]
+        if fmt == "json":
+            argv.append("--json")
+            expected = as_json.replace('"seed": 0,', f'"seed": {seed},')
+        else:
+            expected = text
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == expected
+
 
 class TestScan:
     def test_line_row_count_and_max(self, capsys):
@@ -304,6 +380,12 @@ class TestScan:
         vals = np.array([float(r.split(",")[2]) for r in rows[1:]])
         assert len(vals) == 31 * 31
         assert vals.min() >= -1e-9
+
+    @pytest.mark.parametrize("mode", sorted(PINNED_SCAN_SHA256))
+    def test_grid_output_digest(self, capsys, mode):
+        code, out, _ = run_cli(capsys, "scan", mode, "--grid", "31")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SCAN_SHA256[mode]
 
     def test_line_output_pinned(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "line", "--x", "0.6", "--y", "0.3",
