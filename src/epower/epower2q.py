@@ -583,7 +583,7 @@ def example1_line_entropy(yvar: float, csq: float) -> float:
     _check_e2_domain(csq)
     if not -1.0 <= yvar <= 1.0:
         raise DomainError(f"y={yvar!r} outside [-1, 1]")
-    return float(entropy_bits(np.array(_example1_line_lambdas(yvar, csq))))
+    return float(entropy_bits4(_example1_line_lambdas(yvar, csq)))
 
 
 def e2_derivative(yvar: float, csq: float) -> float:

@@ -39,7 +39,6 @@ __all__ = [
 SIN2_ZERO_TOL = 1e-12
 NONNEG_TOL = 1e-12
 CERT_RESIDUAL_TOL = 1e-9
-ORACLE_FLAG_TOL = 1e-4
 # rounding slack on "largest circular gap <= pi"; M c = 1/2 then decides
 GAP_SLACK = 1e-12
 GRID_BUDGET = 200_000
@@ -247,20 +246,13 @@ def ebits_from_quadratic_max(y: float) -> float:
     return shannon_entropy([(1.0 - r) / 2.0, (1.0 + r) / 2.0])
 
 
-def entangling_power_phase_gate(
-    spec: PhaseGateSpec,
-    *,
-    cross_check: bool = False,
-    seed: int = 0,
-) -> EntanglingPowerResult:
+def entangling_power_phase_gate(spec: PhaseGateSpec) -> EntanglingPowerResult:
     """Entangling power of a two-sided controlled-phase gate.
 
     n = 3 uses its closed form; every other n uses the largest-gap closed
     form: one full ebit, with certificate weights, when no circular gap
     between the phases exceeds pi, and otherwise the best phase pair.
-    With ``cross_check`` the independent simplex oracle is run and
-    discrepancies beyond 1e-4 are flagged in the diagnostics (never
-    silently absorbed).
+    ``simplex_oracle`` is the independent cross-check of this value.
     """
     th = np.asarray(spec.thetas)
     n = spec.n
@@ -288,18 +280,8 @@ def entangling_power_phase_gate(
             diag["pair"] = pair
             diag["case"] = "pair"
     diag["max_y"] = max_y
-    value = ebits_from_quadratic_max(max_y)
-
-    if cross_check:
-        oracle_y, _ = simplex_oracle(spec, seed=seed)
-        oracle_value = ebits_from_quadratic_max(min(oracle_y, 0.25))
-        diag["oracle_y"] = oracle_y
-        diag["oracle_value"] = oracle_value
-        diag["oracle_gap"] = oracle_value - value
-        diag["oracle_flag"] = abs(oracle_value - value) > ORACLE_FLAG_TOL
-
-    return EntanglingPowerResult(
-        value=value, method="closed_form", critical=critical, diagnostics=diag)
+    return EntanglingPowerResult(value=ebits_from_quadratic_max(max_y),
+                                 method="closed_form", critical=critical, diagnostics=diag)
 
 
 def _simplex_grid(n: int, resolution: int) -> np.ndarray:

@@ -261,7 +261,8 @@ class TestCompute:
         assert out == ""
         assert "finite" in err
 
-    @pytest.mark.parametrize("phases", ["1e308,-1e308", "1e308,-1e308,0", "1e308,-1e308,0,1"])
+    @pytest.mark.parametrize("phases", ["1e308,-1e308", "1e308,-1e308,0", "1e308,-1e308,0,1",
+                                        "-1e308,1e308"])
     @pytest.mark.parametrize("verify", [(), ("--verify",)])
     def test_overflowing_phase_difference_exits_two(self, capsys, phases, verify):
         code, out, err = run_cli(capsys, "compute", "--phases", phases, "--json", *verify)
@@ -269,6 +270,25 @@ class TestCompute:
         assert out == ""
         assert "phase differences must be finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, first_line", [
+        (("-1,2",), "value_ebits = 0.9963875399506483"),
+        (("-0.5,1,2", "--json"), '{"command": "compute--phases", "critical": "pair (0, 2) '
+         'at weights (1/2, 1/2)", "method": "closed_form", "params": {"thetas": [-0.5, '
+         '1.0, 2.0]}, "residuals": {}, "seed": 0, "value_ebits": 0.9270392293984567}'),
+    ])
+    def test_phase_list_may_start_negative(self, capsys, monkeypatch, argv, first_line):
+        monkeypatch.delenv("EPOWER_SEED", raising=False)
+        code, out, err = run_cli(capsys, "compute", "--phases", *argv)
+        assert code == 0, err
+        assert out.splitlines()[0] == first_line
+        assert out == run_cli(capsys, "compute", f"--phases={argv[0]}", *argv[1:])[1]
+
+    def test_phases_without_value_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "compute", "--phases", "--json")
+        assert code == 2
+        assert out == ""
+        assert "argument --phases: expected one argument" in err
 
     def test_near_antipodal_triple(self, capsys):
         # the stationary weights sum to 1 - 1.2e-10, within the 1e-9 tolerance

@@ -407,6 +407,20 @@ def test_no_module_imports_scipy():
                 assert name.split(".")[0] != "scipy", f"{path.name}:{node.lineno} imports {name}"
 
 
+def test_only_the_front_ends_call_the_oracles():
+    # the solvers never run an oracle; cli and verify pick and run them
+    package = Path(epower.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("simplex_oracle", "brute_force_power"):
+                    callers.add(path.stem)
+    assert callers == {"cli", "verify"}
+
+
 def test_search_config_validation():
     with pytest.raises(DomainError):
         SearchConfig(grid_points_per_axis=0)
