@@ -27,7 +27,6 @@ __all__ = [
     "IdentityReport",
     "schmidt_rank",
     "schmidt_strength",
-    "u_p",
     "commutant_unitary",
 ]
 
@@ -233,25 +232,6 @@ def schmidt_strength(c: PauliCoefficients) -> float:
     weights are exactly the |c_j|^2.
     """
     return shannon_entropy(c.moduli_squared())
-
-
-def u_p(p: float) -> PauliCoefficients:
-    """Gate family (1-p, p, i sqrt(p(1-p)), i sqrt(p(1-p))) for p in [0, 1].
-
-    The assembled matrix factors into two Schmidt-rank-two unitaries; the
-    factorization is re-verified on every call.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must lie in [0, 1], got {p!r}")
-    r = 1j * np.sqrt(p * (1.0 - p))
-    c = PauliCoefficients(1.0 - p, p, r, r)
-    U = assemble_unitary(c)
-    f2 = np.sqrt(1.0 - p) * _PAULI_KRON[0] + 1j * np.sqrt(p) * _PAULI_KRON[2]
-    f3 = np.sqrt(1.0 - p) * _PAULI_KRON[0] + 1j * np.sqrt(p) * _PAULI_KRON[3]
-    dev = np.abs(U - f2 @ f3).max()
-    if dev > 1e-12:
-        raise RuntimeError(f"two-factor product deviates by {dev:.3e}")
-    return c
 
 
 def commutant_unitary(gamma: float) -> np.ndarray:

@@ -249,10 +249,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads "--phases -1,2" as a flag without its value; pass "--phases=-1,2"
+    # argparse reads "--phases -1,2" as a flag without its value; pass "--phases=-1,2",
+    # and the same for each abbreviation it accepts, "--p" to "--phase"
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] == "--phases" and re.match(r"-[\d.]", argv[i]):
-            argv[i - 1:i + 1] = [f"--phases={argv[i]}"]
+        flag = argv[i - 1]
+        if len(flag) > 2 and "--phases".startswith(flag) and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"{flag}={argv[i]}"]
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

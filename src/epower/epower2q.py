@@ -35,7 +35,6 @@ __all__ = [
     "line_profile_value",
     "line_profile_values",
     "entanglement_grid",
-    "boundary_maximum",
     "partial_derivatives",
     "entangling_power_c2eqc3",
     "conjecture_gap",
@@ -46,7 +45,6 @@ __all__ = [
     "e2_derivative",
     "e2_derivative_limit_upper",
     "e2_derivative_limit_lower",
-    "example2_pair_sum_derivative",
 ]
 
 SPECTRUM_CLAMP = 1e-10
@@ -336,21 +334,6 @@ def _best_candidate(candidates, diagnostics: dict) -> EntanglingPowerResult:
                                  diagnostics=diagnostics)
 
 
-def boundary_maximum(x: float, y: float) -> EntanglingPowerResult:
-    """Maximum over the boundary candidates of the gate (x, y, z=y): both
-    ends of the line alpha + beta = pi/2 and, when cos(2x+2y) <= 0, the
-    balanced-boundary value 1.  This is the candidate table of
-    ``entangling_power_c2eqc3`` without the line interior, so it never
-    exceeds that solver's value."""
-    c = coefficients_from_xyz(CanonicalParams(x, y, y))
-    v0, v4 = line_profile_values(c, (0.0, pi / 4))
-    branch, candidates = _boundary_candidates(c, x, y, float(v0), float(v4))
-    return _best_candidate(candidates, {
-        "branch": branch,
-        "candidates": {tag: v for v, _, _, tag, _ in candidates},
-    })
-
-
 def _balanced_beta(c: PauliCoefficients) -> float:
     """Beta at alpha=0 where the two block traces both equal 1/2, if any."""
     b, a2, k, k2, l1, l2 = _constants(c)
@@ -445,8 +428,8 @@ def entangling_power_c2eqc3(x: float, y: float) -> EntanglingPowerResult:
     Schmidt-rank-deficient gates (y = 0, a controlled phase up to local
     unitaries) are routed to the phase-gate solver.  Otherwise the line
     alpha + beta = pi/2 is scanned densely and refined, and its interior
-    maximum joins the boundary candidates of ``boundary_maximum``; a tie
-    goes to the boundary.
+    maximum joins the boundary candidates of ``_boundary_candidates``; a
+    tie goes to the boundary.
     """
     c = coefficients_from_xyz(CanonicalParams(x, y, y))
     if schmidt_rank(c) < 4:
@@ -607,22 +590,3 @@ def e2_derivative_limit_lower(csq: float) -> float:
     """Limit as y -> -1: |c|^2 (log2 4|c|^2 - log2(1 - 4|c|^2))."""
     _check_e2_domain(csq)
     return csq * (log2(4.0 * csq) - log2(1.0 - 4.0 * csq))
-
-
-def example2_pair_sum_derivative(u: float, y: float) -> float:
-    """d/du of the sum of the two large eigenvalues for x = pi/4 gates,
-    in u = cos^2(2 alpha).  Nonnegative on [0, 1], which is what pins the
-    maximum of that family at alpha = pi/4."""
-    if not -1e-12 <= u <= 1.0 + 1e-12:
-        raise DomainError(f"u={u!r} outside [0, 1]")
-    if not 0.0 < y < pi / 4:
-        raise DomainError(f"y={y!r} outside (0, pi/4)")
-    k = 0.5 * sin(2 * y)
-    lam0 = 0.5 * (cos(y) ** 4 + sin(y) ** 4)
-    lam2 = sin(y) ** 2 * cos(y) ** 2
-    ell = lam0 * lam2
-    num1 = -k + 8 * ell * (1 - u) + 2 * k * k * u
-    den1 = np.sqrt((1 - 2 * k * u) ** 2 - 16 * ell * (1 - u) ** 2)
-    num2 = k + 8 * ell * (1 - u) + 2 * k * k * u
-    den2 = np.sqrt((1 + 2 * k * u) ** 2 - 16 * ell * (1 - u) ** 2)
-    return float(0.5 * (num1 / den1 + num2 / den2))

@@ -30,7 +30,6 @@ __all__ = [
     "output_state",
     "entanglement_of_product_input",
     "brute_force_power",
-    "product_pair_power",
 ]
 
 # search box of the six angles (alpha, beta, theta, xi, mu, nu)
@@ -444,28 +443,3 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
             "lower_bound": True,
         },
     )
-
-
-def product_pair_power(U: np.ndarray, grid_n: int = 201) -> float:
-    """Restricted maximum with mu = nu = pi/2 (two-angle product inputs).
-
-    Grid over (alpha, beta) plus a local 2-D refinement; used to measure
-    how much the unrestricted search gains over the reduced family.
-    """
-    if not isinstance(grid_n, Integral) or isinstance(grid_n, bool):
-        raise DomainError(f"grid_n must be an integer, got {grid_n!r}")
-    if grid_n < 1:
-        raise DomainError(f"grid_n must be at least 1, got {grid_n}")
-    U = check_unitary(U)
-    ab = np.linspace(0.0, pi / 2, grid_n)
-    states = _input_factor(ab, np.zeros(grid_n), np.full(grid_n, pi / 2))
-    vals = _pair_entropies(U, states, states)
-    i, j = np.unravel_index(np.argmax(vals), vals.shape)
-    x0 = np.array([ab[i], ab[j]])
-
-    def objective(x):
-        tail = np.broadcast_to((0.0, 0.0, pi / 2, pi / 2), (len(x), 4))
-        return -_entropies(U, np.hstack([x, tail]))
-
-    res = minimize(objective, x0[None], _LOWS[:2], _HIGHS[:2], 400, 1e-9, 1e-13)
-    return max(float(vals[i, j]), -float(res.fun[0]))

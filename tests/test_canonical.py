@@ -10,7 +10,6 @@ from epower.canonical import (
     commutant_unitary,
     schmidt_rank,
     schmidt_strength,
-    u_p,
     verify_identities,
     x_shaped_matrix,
 )
@@ -188,31 +187,6 @@ class TestSchmidtStrength:
         expected = shannon_entropy(
             [np.cos(x) ** 6 + np.sin(x) ** 6, sc, sc, sc])
         assert schmidt_strength(c) == pytest.approx(expected, abs=1e-13)
-
-
-class TestUp:
-    def test_endpoint_identity(self):
-        c = u_p(0.0)
-        np.testing.assert_allclose(c.as_array(), [1, 0, 0, 0], atol=1e-15)
-
-    def test_half_has_uniform_moduli(self):
-        c = u_p(0.5)
-        np.testing.assert_allclose(c.moduli_squared(), [0.25] * 4, atol=1e-15)
-
-    def test_factorization_explicit(self):
-        p = 0.2
-        c = u_p(p)  # would raise internally if the factorization failed
-        U = assemble_unitary(c)
-        s0 = np.eye(2, dtype=complex)
-        s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        s3 = np.diag([1.0, -1.0]).astype(complex)
-        f2 = np.sqrt(1 - p) * np.kron(s0, s0) + 1j * np.sqrt(p) * np.kron(s2, s2)
-        f3 = np.sqrt(1 - p) * np.kron(s0, s0) + 1j * np.sqrt(p) * np.kron(s3, s3)
-        assert np.abs(U - f2 @ f3).max() <= 1e-12
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            u_p(1.2)
 
 
 def test_commutant_commutes_with_equal_tail_gates(rng):

@@ -47,7 +47,7 @@ PINNED_PHASE_OUTPUT = {
 }
 
 # stdout of `compute ARGS` for the chamber-angle forms, recorded before the
-# c2 = c3 candidate table was shared with `boundary_maximum`
+# c2 = c3 boundary candidates were factored out of the solver
 PINNED_CHAMBER_OUTPUT = {
     ("--xyz", SWAP_ANGLE, SWAP_ANGLE, SWAP_ANGLE, "--json"):
         '{"command": "compute--xyz", "critical": "maximally entangled '
@@ -283,6 +283,19 @@ class TestCompute:
         assert code == 0, err
         assert out.splitlines()[0] == first_line
         assert out == run_cli(capsys, "compute", f"--phases={argv[0]}", *argv[1:])[1]
+
+    @pytest.mark.parametrize("argv", [("--phase", "-1,2"), ("--ph", "-0.5,1,2", "--json"),
+                                      ("--p", "-1,2")])
+    def test_abbreviated_phases_flag_takes_negative_list(self, capsys, argv):
+        code, out, err = run_cli(capsys, "compute", *argv)
+        assert code == 0, err
+        assert out == run_cli(capsys, "compute", f"--phases={argv[1]}", *argv[2:])[1]
+
+    def test_double_dash_is_not_joined(self, capsys):
+        code, out, err = run_cli(capsys, "compute", "--", "-1,2")
+        assert code == 2
+        assert out == ""
+        assert "one of the arguments --xyz --example1 --example2 --phases is required" in err
 
     def test_phases_without_value_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "compute", "--phases", "--json")

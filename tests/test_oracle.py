@@ -26,7 +26,6 @@ from epower.oracle import (
     brute_force_power,
     entanglement_of_product_input,
     output_state,
-    product_pair_power,
 )
 from epower.qmath import DomainError, entropy_bits, partial_trace, von_neumann_entropy
 
@@ -189,18 +188,6 @@ def test_default_grid_scores_each_distinct_pair_once():
     assert d["grid_distinct"] == 289 * 289
 
 
-@pytest.mark.parametrize("grid_n", [0, -3])
-def test_product_pair_power_rejects_empty_grid(grid_n):
-    with pytest.raises(DomainError, match="grid_n"):
-        product_pair_power(gate_matrix(0.6, 0.3), grid_n=grid_n)
-
-
-@pytest.mark.parametrize("grid_n", [2.5, 9.0, float("nan"), True])
-def test_product_pair_power_rejects_non_integer_grid(grid_n):
-    with pytest.raises(DomainError, match="grid_n must be an integer"):
-        product_pair_power(gate_matrix(0.6, 0.3), grid_n=grid_n)
-
-
 @pytest.mark.parametrize("name", sorted(non_finite_gates()))
 def test_oracle_entry_points_reject_non_finite_gates(name):
     U = non_finite_gates()[name]
@@ -221,11 +208,6 @@ def test_product_input_rejects_non_finite_angle(position, bad):
         warnings.simplefilter("error")  # fails before any numpy warning
         with pytest.raises(DomainError, match="finite"):
             entanglement_of_product_input(gate_matrix(0.6, 0.3), *angles)
-
-
-def test_product_pair_power_pinned():
-    assert repr(product_pair_power(gate_matrix(0.45, 0.15), grid_n=161)) == "0.9723997622281073"
-    assert repr(product_pair_power(gate_matrix(0.6, 0.3))) == "1.5544370141056683"
 
 
 def scipy_halton(n, seed):
@@ -349,8 +331,7 @@ class TestReductionToTwoAngles:
         for x, y in [(0.45, 0.15), (0.3, 0.3), (pi / 4, 0.2)]:
             U = gate_matrix(x, y)
             full = brute_force_power(U, LIGHT).value
-            restricted = product_pair_power(U, grid_n=161)
-            assert full - restricted <= 1e-4
+            assert full - entangling_power_c2eqc3(x, y).value <= 1e-4
 
     def test_scalar_evaluator_consistency(self):
         U = gate_matrix(0.5, 0.3)

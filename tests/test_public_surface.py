@@ -1,0 +1,67 @@
+"""The public surface stays whole: each module's ``__all__`` is what
+``import epower`` exposes, and every name the benchmark reads resolves.
+
+The benchmark files are read with ``ast``, never imported, so trimming
+a name they use fails here instead of in a benchmark run.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+import epower
+import epower.cli  # noqa: F401  (the benchmark calls ep.cli.main)
+
+MODULES = ("canonical", "epower2q", "oracle", "qmath", "results", "schmidt2")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def top_level_names(module):
+    """Names bound by a def, class or assignment at the top of the module."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_are_defined_there_and_reexported(name):
+    module = importlib.import_module(f"epower.{name}")
+    assert not set(module.__all__) - top_level_names(module)
+    for export in module.__all__:
+        assert getattr(epower, export) is getattr(module, export), export
+
+
+def test_package_exports_only_the_module_lists():
+    exported = {n for n, v in vars(epower).items()
+                if not n.startswith("_") and not inspect.ismodule(v)}
+    declared = [n for m in MODULES for n in importlib.import_module(f"epower.{m}").__all__]
+    assert len(declared) == len(set(declared))
+    assert exported == set(declared)
+
+
+def test_traced_names_resolve():
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    missing = [f"{mod}.{name}" for mod, names in traced.items() for name in names
+               if not hasattr(importlib.import_module(f"epower.{mod}"), name)]
+    assert not missing
+
+
+@pytest.mark.parametrize("filename", ["ops.py", "worker.py"])
+def test_benchmark_calls_resolve(filename):
+    tree = ast.parse((PERFBENCH / filename).read_text())
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "ep"}
+    assert used
+    assert not [name for name in used if not hasattr(epower, name)]
