@@ -125,8 +125,9 @@ def test_cli_output_matches_recorded_corpus(monkeypatch):
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     os.environ.pop("EPOWER_SEED", None)
-    table = {" ".join(argv): digest(argv) for argv in corpus()}
-    assert len(table) == len(corpus()), "two runs share a label"
+    runs = corpus()
+    table = {" ".join(argv): digest(argv) for argv in runs}
+    assert len(table) == len(runs), "two runs share a label"
     with open(DIGESTS, "w") as fh:
         json.dump(table, fh, indent=1)
         fh.write("\n")
