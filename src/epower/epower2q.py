@@ -25,6 +25,7 @@ from .canonical import (
 )
 from .qmath import DensityMatrix, DomainError, entropy_bits, entropy_bits4, shannon_entropy
 from .results import EntanglingPowerResult
+from .schmidt2 import PhaseGateSpec, entangling_power_phase_gate
 
 __all__ = [
     "Spectrum",
@@ -307,33 +308,6 @@ def entanglement_grid(c: PauliCoefficients, alphas, betas) -> np.ndarray:
     return entropy_bits(lam)
 
 
-def _boundary_candidates(c: PauliCoefficients, x: float, y: float, v0: float, v4: float):
-    """Branch label and boundary candidates (value, alpha, beta, critical,
-    method) of a c2 = c3 gate in tie order: the line ends alpha = pi/4 (v4)
-    and alpha = 0 (v0), then the balanced-boundary value 1 if cos(2x+2y) <= 0.
-    """
-    candidates = [
-        (v4, pi / 4, pi / 4, "maximally entangled (alpha=pi/4)", "line_scan"),
-        (v0, 0.0, pi / 2, "product (alpha=0 line edge)", "line_scan"),
-    ]
-    if cos(2 * x + 2 * y) <= 0.0:
-        candidates.append(
-            (1.0, 0.0, _balanced_beta(c), "balanced boundary (alpha=0)", "boundary"))
-        return "cos(2x+2y)<=0", candidates
-    return "cos(2x+2y)>0", candidates
-
-
-def _best_candidate(candidates, diagnostics: dict) -> EntanglingPowerResult:
-    """The maximum over the candidates, named by the earliest candidate
-    within TIE_TOL of it, so ties are reproducible and prefer the boundary."""
-    best = max(v for v, *_ in candidates)
-    _, alpha, beta, tag, method = next(
-        cand for cand in candidates if cand[0] >= best - TIE_TOL)
-    return EntanglingPowerResult(value=best, method=method, critical=tag,
-                                 critical_alpha=alpha, critical_beta=beta,
-                                 diagnostics=diagnostics)
-
-
 def _balanced_beta(c: PauliCoefficients) -> float:
     """Beta at alpha=0 where the two block traces both equal 1/2, if any."""
     b, a2, k, k2, l1, l2 = _constants(c)
@@ -401,12 +375,26 @@ def _golden_max(f, lo: float, hi: float):
     return np.float64(x_best), f(x_best), nfev
 
 
-def _maximize_line(c: PauliCoefficients):
-    """Dense grid plus golden-section refinement of the line profile.
+def entangling_power_c2eqc3(x: float, y: float) -> EntanglingPowerResult:
+    """Entangling power of the gate with chamber angles (x, y, z=y).
 
-    Returns (argmax, max, edge value at 0, edge value at pi/4, diagnostics
-    with the stage timings and the number of refinement evaluations).
+    Schmidt-rank-deficient gates (y = 0, a controlled phase up to local
+    unitaries) are routed to the phase-gate solver.  Otherwise the line
+    alpha + beta = pi/2 is scanned densely and refined by golden section.
+    The candidates, in tie order, are the line ends alpha = pi/4 and
+    alpha = 0, the balanced-boundary value 1 if cos(2x+2y) <= 0, and the
+    line interior; the earliest within TIE_TOL of the maximum names it, so
+    a tie goes to the boundary.
     """
+    c = coefficients_from_xyz(CanonicalParams(x, y, y))
+    if schmidt_rank(c) < 4:
+        sub = entangling_power_phase_gate(PhaseGateSpec((0.0, 4.0 * x)))
+        return EntanglingPowerResult(
+            value=sub.value, method="rank2_dispatch", critical=sub.critical,
+            diagnostics={"phases": (0.0, 4.0 * x), "sub_method": sub.method,
+                         **sub.diagnostics},
+        )
+
     t0 = perf_counter()
     alphas = _line_grid()[0]
     vals = line_profile_values(c)
@@ -415,41 +403,31 @@ def _maximize_line(c: PauliCoefficients):
     hi = alphas[min(i + 1, LINE_GRID_N - 1)]
     t1 = perf_counter()
     a_star, v_star, nfev = _golden_max(lambda a: line_profile_value(c, a), lo, hi)
+    # the grid's array profile and the scalar profile can differ in the last bit
     if vals[i] > v_star:
         a_star, v_star = float(alphas[i]), float(vals[i])
-    diagnostics = {"timings": {"grid_s": t1 - t0, "refine_s": perf_counter() - t1},
-                   "line_evaluations": nfev}
-    return a_star, v_star, float(vals[0]), float(vals[-1]), diagnostics
+    timings = {"grid_s": t1 - t0, "refine_s": perf_counter() - t1}
 
-
-def entangling_power_c2eqc3(x: float, y: float) -> EntanglingPowerResult:
-    """Entangling power of the gate with chamber angles (x, y, z=y).
-
-    Schmidt-rank-deficient gates (y = 0, a controlled phase up to local
-    unitaries) are routed to the phase-gate solver.  Otherwise the line
-    alpha + beta = pi/2 is scanned densely and refined, and its interior
-    maximum joins the boundary candidates of ``_boundary_candidates``; a
-    tie goes to the boundary.
-    """
-    c = coefficients_from_xyz(CanonicalParams(x, y, y))
-    if schmidt_rank(c) < 4:
-        from .schmidt2 import PhaseGateSpec, entangling_power_phase_gate
-
-        sub = entangling_power_phase_gate(PhaseGateSpec((0.0, 4.0 * x)))
-        return EntanglingPowerResult(
-            value=sub.value, method="rank2_dispatch", critical=sub.critical,
-            diagnostics={"phases": (0.0, 4.0 * x), "sub_method": sub.method,
-                         **sub.diagnostics},
-        )
-
-    a_star, v_star, v0, v4, line_diagnostics = _maximize_line(c)
-    branch, candidates = _boundary_candidates(c, x, y, v0, v4)
-    candidates.append(
-        (v_star, a_star, pi / 2 - a_star, "line interior", "line_scan"))
-    return _best_candidate(candidates, {
-        "branch": branch,
-        "line_max": v_star, "line_argmax": a_star,
-        "edge_values": (v0, v4), "grid_n": LINE_GRID_N, **line_diagnostics})
+    v0, v4 = float(vals[0]), float(vals[-1])
+    candidates = [
+        (v4, pi / 4, pi / 4, "maximally entangled (alpha=pi/4)", "line_scan"),
+        (v0, 0.0, pi / 2, "product (alpha=0 line edge)", "line_scan"),
+    ]
+    branch = "cos(2x+2y)>0"
+    if cos(2 * x + 2 * y) <= 0.0:
+        branch = "cos(2x+2y)<=0"
+        candidates.append(
+            (1.0, 0.0, _balanced_beta(c), "balanced boundary (alpha=0)", "boundary"))
+    candidates.append((v_star, a_star, pi / 2 - a_star, "line interior", "line_scan"))
+    best = max(v for v, *_ in candidates)
+    _, alpha, beta, tag, method = next(
+        cand for cand in candidates if cand[0] >= best - TIE_TOL)
+    return EntanglingPowerResult(
+        value=best, method=method, critical=tag,
+        critical_alpha=alpha, critical_beta=beta,
+        diagnostics={"branch": branch, "line_max": v_star, "line_argmax": a_star,
+                     "edge_values": (v0, v4), "grid_n": LINE_GRID_N,
+                     "timings": timings, "line_evaluations": nfev})
 
 
 def conjecture_gap(x: float, y: float) -> float:

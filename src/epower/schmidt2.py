@@ -331,9 +331,9 @@ def simplex_oracle(spec: PhaseGateSpec, seed: int = 0):
 
     Exhaustively grids the simplex at resolution 1/ORACLE_RESOLUTION
     (coarser for larger n, to keep the point count within GRID_BUDGET),
-    polishes the best grid points by
-    exact pairwise coordinate ascent, and adds seeded random restarts for
-    sizes where the grid is too coarse.  Deterministic for a fixed seed.
+    polishes the best grid points by exact pairwise coordinate ascent,
+    and adds seeded random restarts whenever the grid was coarsened,
+    which is every n >= 5.  Deterministic for a fixed seed.
 
     Returns:
         (max_y, weights) with weights an ndarray on the simplex.
@@ -347,7 +347,7 @@ def simplex_oracle(spec: PhaseGateSpec, seed: int = 0):
     vals = 0.5 * np.einsum("ij,jk,ik->i", grid, m, grid)
     order = np.argsort(vals)[::-1][:10]
     starts = [grid[i] for i in order]
-    if res < ORACLE_RESOLUTION or n > 8:
+    if res < ORACLE_RESOLUTION:
         rng = np.random.default_rng(seed)
         starts.extend(rng.dirichlet(np.ones(n), size=200))
     best_y, best_c = -1.0, None

@@ -1,7 +1,8 @@
 """Randomized property suites behind the ``verify`` CLI command.
 
 Each suite draws seeded samples, checks one family of claims at its
-stated tolerance, and reports a single pass/fail record.  The conjecture
+stated tolerance, and returns (passed, detail) or (passed, detail,
+findings); ``run_all`` names the record from ``_SUITES``.  The conjecture
 harness is special: a positive interior excess is serialized as a
 finding, not a failure, because the edge-maximum statement is evidence,
 not a theorem.
@@ -46,18 +47,17 @@ def _scaled(base: int, samples: int | None) -> int:
     return max(1, round(base * samples / DEFAULT_SAMPLES))
 
 
-def check_identities(rng, samples=None) -> CheckResult:
+def check_identities(rng, samples=None) -> tuple:
     n = _scaled(1000, samples)
     worst = 0.0
     for _ in range(n):
         report = canonical.verify_identities(_random_chamber(rng, strict=True))
         worst = max(worst, report.max_residual)
-    return CheckResult(
-        "coefficient identities", bool(worst <= 1e-12),
-        f"max residual {worst:.3e} over {n} strict chamber points (tol 1e-12)")
+    return (bool(worst <= 1e-12),
+            f"max residual {worst:.3e} over {n} strict chamber points (tol 1e-12)")
 
 
-def check_spectrum_equivalence(rng, samples=None) -> CheckResult:
+def check_spectrum_equivalence(rng, samples=None) -> tuple:
     n = _scaled(1000, samples)
     worst = 0.0
     for _ in range(n):
@@ -66,13 +66,12 @@ def check_spectrum_equivalence(rng, samples=None) -> CheckResult:
         lam = epower2q.spectrum(c, a, b).lam
         ev = epower2q.reduced_density_closed_form(c, a, b).eigenvalues
         worst = max(worst, np.abs(np.sort(lam) - np.sort(ev)).max())
-    return CheckResult(
-        "spectrum equivalence", bool(worst <= 1e-10),
-        f"max closed-form vs eigensolver deviation {worst:.3e} "
-        f"over {n} samples (tol 1e-10)")
+    return (bool(worst <= 1e-10),
+            f"max closed-form vs eigensolver deviation {worst:.3e} "
+            f"over {n} samples (tol 1e-10)")
 
 
-def check_derivatives(rng, samples=None) -> CheckResult:
+def check_derivatives(rng, samples=None) -> tuple:
     n = _scaled(200, samples)
     step = 1e-5
     worst = 0.0
@@ -92,13 +91,12 @@ def check_derivatives(rng, samples=None) -> CheckResult:
                 - epower2q.entanglement_at(c, a, b - step)) / (2 * step)
         worst = max(worst, abs(fa - fd_a), abs(fb - fd_b))
         count += 1
-    return CheckResult(
-        "analytic derivatives", bool(worst <= 1e-6),
-        f"max |analytic - central difference| {worst:.3e} "
-        f"over {n} interior points (tol 1e-6)")
+    return (bool(worst <= 1e-6),
+            f"max |analytic - central difference| {worst:.3e} "
+            f"over {n} interior points (tol 1e-6)")
 
 
-def check_line_necessity(rng, samples=None) -> CheckResult:
+def check_line_necessity(rng, samples=None) -> tuple:
     n = _scaled(50, samples)
     worst = -np.inf
     alphas = np.linspace(0.0, pi / 4, 401)
@@ -109,25 +107,23 @@ def check_line_necessity(rng, samples=None) -> CheckResult:
         surface = epower2q.entanglement_grid(c, alphas, betas).max()
         line = epower2q.line_profile_values(c, alphas).max()
         worst = max(worst, surface - line)
-    return CheckResult(
-        "line necessity", bool(worst <= 1e-6),
-        f"max 2-D surface excess over the alpha+beta=pi/2 line {worst:.3e} "
-        f"over {n} gates (tol 1e-6)")
+    return (bool(worst <= 1e-6),
+            f"max 2-D surface excess over the alpha+beta=pi/2 line {worst:.3e} "
+            f"over {n} gates (tol 1e-6)")
 
 
-def check_rank_bound(rng, samples=None) -> CheckResult:
+def check_rank_bound(rng, samples=None) -> tuple:
     n = _scaled(200, samples)
     worst_rank = 0
     for _ in range(n):
         size = int(rng.integers(2, 13))
         spec = schmidt2.PhaseGateSpec(tuple(rng.uniform(0.0, 2 * pi, size)))
         worst_rank = max(worst_rank, schmidt2.rank_bound_check(spec))
-    return CheckResult(
-        "phase-matrix rank bound", bool(worst_rank <= 3),
-        f"max numeric rank {worst_rank} over {n} specs up to n=12 (bound 3)")
+    return (bool(worst_rank <= 3),
+            f"max numeric rank {worst_rank} over {n} specs up to n=12 (bound 3)")
 
 
-def check_n3_vs_oracle(rng, samples=None) -> CheckResult:
+def check_n3_vs_oracle(rng, samples=None) -> tuple:
     n = _scaled(500, samples)
     worst = 0.0
     for _ in range(n):
@@ -135,12 +131,11 @@ def check_n3_vs_oracle(rng, samples=None) -> CheckResult:
         closed = schmidt2.n3_closed_form(*th).max_y
         oracle_y, _ = schmidt2.simplex_oracle(schmidt2.PhaseGateSpec(th))
         worst = max(worst, abs(closed - oracle_y))
-    return CheckResult(
-        "three-phase closed form vs simplex oracle", bool(worst <= 1e-6),
-        f"max |closed - oracle| {worst:.3e} over {n} triples (tol 1e-6)")
+    return (bool(worst <= 1e-6),
+            f"max |closed - oracle| {worst:.3e} over {n} triples (tol 1e-6)")
 
 
-def check_conjecture_harness(rng, samples=None) -> CheckResult:
+def check_conjecture_harness(rng, samples=None) -> tuple:
     n = _scaled(100, samples)
     findings = []
     worst = -np.inf
@@ -153,7 +148,7 @@ def check_conjecture_harness(rng, samples=None) -> CheckResult:
             findings.append({"x": x, "y": y, "interior_excess": gap})
     detail = (f"max interior excess {worst:.3e} over {n} gates; "
               f"{len(findings)} finding(s) above 1e-9 (reported, not failed)")
-    return CheckResult("edge-maximum conjecture harness", True, detail, findings)
+    return True, detail, findings
 
 
 _SUITES = (
@@ -179,7 +174,7 @@ def run_all(seed: int = 0, samples: int | None = None) -> list[CheckResult]:
     results = []
     for name, fn in _SUITES:
         try:
-            results.append(fn(rng, samples))
+            results.append(CheckResult(name, *fn(rng, samples)))
         except Exception as exc:  # noqa: BLE001 - converted into a failure
             results.append(CheckResult(
                 name, False, f"raised {type(exc).__name__}: {exc}"))

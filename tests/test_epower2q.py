@@ -352,6 +352,8 @@ def test_line_diagnostics_count_and_time_the_stages(monkeypatch, x, y):
     point_calls = _count_calls(monkeypatch, "line_profile_value")
     d = entangling_power_c2eqc3(x, y).diagnostics
     assert d["line_evaluations"] == len(point_calls)
+    assert list(d) == ["branch", "line_max", "line_argmax", "edge_values",
+                       "grid_n", "timings", "line_evaluations"]
     assert sorted(d["timings"]) == ["grid_s", "refine_s"]
     assert all(t >= 0.0 for t in d["timings"].values())
 

@@ -65,3 +65,23 @@ def test_benchmark_calls_resolve(filename):
             and node.value.id == "ep"}
     assert used
     assert not [name for name in used if not hasattr(epower, name)]
+
+
+SRC = Path(epower.__file__).resolve().parent
+
+
+def test_every_private_helper_has_a_caller():
+    """A top-level ``_name`` def or class is referenced in ``src/epower``
+    outside its own definition, so a helper whose last caller went is
+    deleted or folded back with it."""
+    defined, referenced = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined.add(f"{path.stem}.{node.name}")
+                names.discard(node.name)
+            referenced |= names
+    assert defined
+    assert not [d for d in sorted(defined) if d.split(".")[1] not in referenced]

@@ -6,6 +6,7 @@ from math import pi
 
 from hypothesis import given, strategies as st
 
+from epower import schmidt2
 from epower.qmath import DomainError
 from epower.schmidt2 import (
     PhaseGateSpec,
@@ -285,6 +286,21 @@ class TestSimplexOracle:
         y2, w2 = simplex_oracle(spec, seed=5)
         assert y1 == y2
         np.testing.assert_array_equal(w1, w2)
+
+    @pytest.mark.parametrize("n, restarts", [(4, 0), (5, 1), (9, 1)])
+    def test_random_restarts_exactly_when_the_grid_is_coarsened(self, monkeypatch, n, restarts):
+        # from n = 5 on the full-resolution grid exceeds GRID_BUDGET, so a
+        # coarsened grid alone decides whether the seeded restarts run
+        calls = []
+        original = schmidt2.np.random.default_rng
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(schmidt2.np.random, "default_rng", counted)
+        simplex_oracle(PhaseGateSpec(tuple(0.7 * k for k in range(n))))
+        assert len(calls) == restarts
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_grid_rows_in_lexicographic_order(self, n):
