@@ -157,6 +157,56 @@ def test_oracle_output_pinned(name):
     assert got == expected
 
 
+# repr of (value, angles, n_evaluations, refine_evaluations): the two
+# criterion-13 gates that PINNED lacks, and a call whose 616-point initial
+# simplex (88 starts of 7 vertices) exceeds the kernel's 512-point workspace
+REFINE_PINNED = {
+    "xyz_0.3_0.2": (lambda: gate_matrix(0.3, 0.2), LIGHT,
+                    ("0.862535908269215", "(0.7853981634163159, 0.7853981633879314, "
+                     "3.1419711780307606, 1.571005308740363, 1.5707963267948966, "
+                     "1.5707963267924008)", "26095", "5359")),
+    "xyz_pi/4_0.2": (lambda: gate_matrix(pi / 4, 0.2), LIGHT,
+                     ("1.3872886449116166", "(0.785398163418396, 0.7853981634600818, "
+                      "1.5887950346321278, 3.143228899615617, 1.5707963267948966, "
+                      "1.5707963267948966)", "25601", "4865")),
+    "wide_simplex_0.6_0.3": (lambda: gate_matrix(0.6, 0.3),
+                             SearchConfig(grid_points_per_axis=5, refinement_iterations=20,
+                                          multi_starts=80),
+                             ("1.5544370141056683", "(0.7853981633974483, 0.7853981633974483, "
+                              "3.141592653589793, 1.5707963267948966, 1.5707963267948966, "
+                              "1.5707963267948966)", "9515", "3115")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFINE_PINNED))
+def test_oracle_refinement_pinned(name):
+    make_gate, cfg, expected = REFINE_PINNED[name]
+    res = brute_force_power(make_gate(), cfg)
+    d = res.diagnostics
+    got = (repr(res.value), repr(d["angles"]), repr(d["n_evaluations"]),
+           repr(d["refine_evaluations"]))
+    assert got == expected
+
+
+@pytest.mark.parametrize("points", [1, 7, 40, 280])
+def test_batch_entropies_in_a_strided_view_of_a_full_workspace(points):
+    # every intermediate is cut to its first `points` entries along the
+    # 512-long points axis, so each row of the view is strided; the
+    # workspace first holds another batch, so no stale entry may leak
+    rng = np.random.default_rng(points)
+    U = random_unitary(rng, 4)
+    box = oracle._HIGHS - oracle._LOWS
+    full = oracle._workspace(512)
+    oracle._batch_entropies(U, *oracle._factors(oracle._LOWS + box * rng.random((512, 6))),
+                            full)
+    view = type(full)(*(a[tuple(slice(points) if size == 512 else slice(None)
+                                for size in a.shape)] for a in full))
+    x = oracle._LOWS + box * rng.random((points, 6))
+    got = oracle._batch_entropies(U, *oracle._factors(x), view)
+    assert same_bits(got, oracle._batch_entropies(U, *oracle._factors(x)))
+    assert same_bits(got, reference_entropies(U, *np.ascontiguousarray(x.T)))
+
+
 def test_diagnostics_split_the_stages():
     d = brute_force_power(np.diag([1, 1, 1, -1]).astype(complex), LIGHT).diagnostics
     assert d["grid_evaluations"] == 9 * 9 * 4 * 4 * 4 * 4
