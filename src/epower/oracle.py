@@ -39,7 +39,7 @@ _HIGHS = np.array([pi / 2, pi / 2, 2 * pi, 2 * pi, pi / 2, pi / 2])
 _TRIL = np.tril_indices(4)
 # points per chunk of a grid.  In a sweep from 128 to 8,192 points, 256 to
 # 2,048 ran alike, 128 paid per-chunk overhead and 4,096 up faulted again;
-# at 512 the kernel's workspace is about 2 MiB.
+# at 512 the kernel's workspace is about 1.1 MiB.
 _CHUNK = 512
 
 
@@ -78,6 +78,14 @@ class LockstepResult(NamedTuple):
 # Nelder-Mead coefficients and initial-simplex steps, as in scipy.
 _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _NONZDELT, _ZDELT = 0.05, 0.00025
+# A step's candidate points are a * xbar - b * worst, one row per case in
+# the order of its case code: 0 inside contraction, 1 outside contraction,
+# 2 reflection, 3 expansion.  scipy's inside contraction
+# (1 - psi) * xbar + psi * worst is written with b = -psi; negation is exact.
+_A = np.array([1 - _PSI, 1 + _PSI * _RHO, 1 + _RHO, 1 + _RHO * _CHI])[:, None, None]
+_B = np.array([-_PSI, _PSI * _RHO, _RHO, _RHO * _CHI])[:, None, None]
+# the vertices whose values decide the case: best, second worst, worst
+_CASE_VERTICES = np.array([0, -2, -1])
 
 
 def minimize(fun, x0, lb, ub, maxiter, xatol, fatol) -> LockstepResult:
@@ -90,7 +98,8 @@ def minimize(fun, x0, lb, ub, maxiter, xatol, fatol) -> LockstepResult:
     returns its ``x``, ``fun``, ``success`` and evaluation count bit for
     bit, but a step costs at most three calls of ``fun`` for all starts
     together: the reflections, then the expansion and contraction
-    candidates, then the shrink vertices.
+    candidates, then the shrink vertices.  A start that has converged
+    leaves the arrays that the steps work on.
     """
     lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
     x0 = np.clip(np.asarray(x0, dtype=float), lb, ub)
@@ -104,61 +113,63 @@ def minimize(fun, x0, lb, ub, maxiter, xatol, fatol) -> LockstepResult:
     nfev = k * (n + 1)
     for _ in range(2):  # as scipy does; tied values may move on the second sort
         sim, fsim = _sort_vertices(sim, fsim)
+    rows, s, f = np.arange(k), sim, fsim  # the starts still running and their simplices
+    at = np.arange(k)  # np.arange(rows.size), cut as starts retire
+    success = np.zeros(k, dtype=bool)
 
-    active = np.ones(k, dtype=bool)
     iterations = 1
     while iterations < maxiter:
-        active &= ~((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
-                    & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
-            break
-        s, f = sim[rows], fsim[rows]
+        # f is sorted, so its largest |f[0] - f[j]| is f[-1] - f[0]
+        done = f[:, -1] - f[:, 0] <= fatol
+        if done.any():
+            done &= np.abs(s[:, 1:] - s[:, :1]).reshape(rows.size, -1).max(axis=1) <= xatol
+        if done.any():
+            sim[rows[done]], fsim[rows[done]], success[rows[done]] = s[done], f[done], True
+            rows, s, f = rows[~done], s[~done], f[~done]
+            if rows.size == 0:
+                break
+            at = at[:rows.size]
         xbar = np.add.reduce(s[:, :-1], 1) / n
-        worst = s[:, -1]
-        xr = np.clip((1 + _RHO) * xbar - _RHO * worst, lb, ub)
-        fxr = fun(xr)
+        worst = s[:, -1].copy()
+        pts = np.clip(_A * xbar - _B * worst, lb, ub)
+        fxr = fun(pts[2])
         nfev += rows.size
 
-        expand = fxr < f[:, 0]
-        accept = ~expand & (fxr < f[:, -2])
-        outside = ~expand & ~accept & (fxr < f[:, -1])
-        inside = ~(expand | accept | outside)
-        trial = np.where(
-            expand[:, None], (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
-            np.where(outside[:, None], (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
-                     (1 - _PSI) * xbar + _PSI * worst))
-        trial = np.clip(trial, lb, ub)
+        # case code: 3 expand, 2 accept the reflection, 1 contract outside,
+        # 0 contract inside; the first true test of scipy's cascade decides
+        code = np.add.reduce(np.logical_or.accumulate(fxr[:, None] < f[:, _CASE_VERTICES], 1), 1)
+        probe = np.flatnonzero(code != 2)
         ftrial = np.full(rows.size, np.nan)
-        probe = ~accept
-        if probe.any():
-            ftrial[probe] = fun(trial[probe])
-            nfev += int(probe.sum())
+        if probe.size:
+            ftrial[probe] = fun(pts[code[probe], probe])
+            nfev += probe.size
 
-        take_trial = ((expand & (ftrial < fxr)) | (outside & (ftrial <= fxr))
-                      | (inside & (ftrial < f[:, -1])))
-        shrink = (outside | inside) & ~take_trial
-        keep = ~shrink
-        s[keep, -1] = np.where(take_trial[:, None], trial, xr)[keep]
-        f[keep, -1] = np.where(take_trial, ftrial, fxr)[keep]
-        if shrink.any():
-            best = s[shrink, :1]
-            moved = np.clip(best + _SIGMA * (s[shrink, 1:] - best), lb, ub)
+        # expand: keep the better of the two; contract outside: take it if
+        # no worse than the reflection; inside: if better than the worst
+        take = ((ftrial < np.where(code == 0, f[:, -1], fxr))
+                | ((code == 1) & (ftrial == fxr)))
+        pick = np.where(take, code, 2)  # the candidate that replaces the worst vertex
+        s[:, -1], f[:, -1] = pts[pick, at], np.where(take, ftrial, fxr)
+        shrink = np.flatnonzero(pick > code)  # a contraction that was not taken
+        if shrink.size:
+            best, verts = s[shrink, :1], s[shrink, 1:]
+            verts[:, -1] = worst[shrink]
+            moved = np.clip(best + _SIGMA * (verts - best), lb, ub)
             s[shrink, 1:] = moved
             f[shrink, 1:] = fun(moved.reshape(-1, n)).reshape(-1, n)
             nfev += moved.shape[0] * n
         iterations += 1
-        sim[rows], fsim[rows] = _sort_vertices(s, f)
+        s, f = _sort_vertices(s, f)
 
-    return LockstepResult(x=sim[:, 0], fun=np.min(fsim, axis=1),
-                          success=~active, nfev=nfev)
+    sim[rows], fsim[rows] = s, f
+    return LockstepResult(x=sim[:, 0], fun=np.min(fsim, axis=1), success=success, nfev=nfev)
 
 
 def _sort_vertices(sim, fsim):
     """Order each simplex by objective value, best vertex first."""
-    ind = np.argsort(fsim, axis=1)
-    rows = np.arange(len(ind))[:, None]
-    return sim[rows, ind], fsim[rows, ind]
+    k, m = fsim.shape
+    flat = fsim.argsort(axis=1) + m * np.arange(k)[:, None]
+    return sim.reshape(k * m, -1).take(flat, axis=0), fsim.take(flat)
 
 
 def output_state(U: np.ndarray, params: ProductInputParams) -> StateVector:
@@ -173,58 +184,104 @@ def output_state(U: np.ndarray, params: ProductInputParams) -> StateVector:
     return StateVector(amps.reshape(16), (2, 2, 2, 2))
 
 
-def _input_factor(angle, phase, weight):
-    """One side's qubit-and-reference input state, shape (4, P), points last."""
-    v = np.zeros((4, angle.size), dtype=complex)
-    sin = np.sin(angle)
-    v[0] = np.cos(angle)
-    v[2] = sin * np.exp(1j * phase) * np.cos(weight)
-    v[3] = sin * np.sin(weight)
+def _input_factor(apw):
+    """Qubit-and-reference input states, shape (4, ..., P), points last.
+
+    ``apw`` stacks the angles, phases and weights, each of shape (..., P):
+    one side's inputs, or both sides' on a further axis.
+    """
+    sin, cos = np.sin(apw), np.cos(apw)
+    v = np.zeros((4,) + apw.shape[1:], dtype=complex)
+    v[0] = cos[0]
+    np.multiply(np.multiply(sin[0], np.exp(1j * apw[1]), out=v[2]), cos[2], out=v[2])
+    np.multiply(sin[0], sin[2], out=v[3])
     return v
 
 
 def _factors(x):
     """The A and B input factors, each (4, M), of an (M, 6) array of angles."""
-    alpha, beta, theta, xi, mu, nu = np.ascontiguousarray(np.transpose(x))
-    return _input_factor(alpha, theta, mu), _input_factor(beta, xi, nu)
+    # rows (alpha, beta), (theta, xi), (mu, nu): each side's angle, phase, weight
+    v = _input_factor(np.ascontiguousarray(x.T).reshape(3, 2, -1))
+    return v[:, 0], v[:, 1]
 
 
-class _Workspace(NamedTuple):
-    """The kernel's intermediates for P points, written in place."""
+class _Views(NamedTuple):
+    """The kernel's shaped views of the start of a workspace, for P points."""
 
+    # in io: the input, then the output over it
     full: np.ndarray   # (2, 2, 2, 2, P) complex input, [a, b, r, t, point]
-    prod: np.ndarray   # (2, 4, 4, 4, P) two products with U
-    sums: np.ndarray   # (2, 4, 4, P) output, re and im, [(x, y), (r, t), point]
-    state: np.ndarray  # (2, 4, 4, P) output, re and im, [(x, r), (y, t), point]
-    terms: np.ndarray  # (4, 4, 10, P) k_re, k_im, l_re, l_im of the lower triangle
-    pairs: np.ndarray  # (2, 4, 10, P) two products of terms
-    tril: np.ndarray   # (10, P, 2) lower triangle of rho, re and im last
-    rho: np.ndarray    # (4, 4, P, 2) rho; the upper triangle stays zero
+    f: np.ndarray      # (2, 1, 4, 4, P) its re and im planes, [re/im, ., (a, b), (r, t), point]
+    state: np.ndarray  # (2, 4, 4, P) the output, [re/im, (x, r), (y, t), point]
+    out_xyrt: np.ndarray  # (2, 2, 2, 2, 2, P) the output as [re/im, x, y, r, t, point]
+    # in prod: the products with U, then rho's terms, then rho
+    p: np.ndarray      # (2, 4, 4, 4, P) u_re times f, [re/im, (x, y), (a, b), (r, t), point]
+    q: np.ndarray      # (2, 4, 4, 4, P) u_im times f, after p
+    p_xyrt: np.ndarray  # (2, 2, 2, 4, 2, 2, P) p as [re/im, x, y, (a, b), r, t, point]
+    terms: np.ndarray  # (4, 4, 10, P) k_re, k_im, l_re, l_im, [., m, (k, l) pair, point]
+    pair: np.ndarray   # (2, 4, 10, P) a product of terms, after them
+    tril: np.ndarray   # (10, P) complex lower triangle of rho, over that product
+    tril_planes: np.ndarray  # (2, 10, P) its re and im planes
+    rho: np.ndarray    # (4, 4, P) complex rho, [k, l, point], over the terms
+
+
+def _views(io, prod, n):
+    """The kernel's ``_Views`` of buffers ``io`` and ``prod`` for n points."""
+    full = io[:32 * n].view(complex).reshape(2, 2, 2, 2, n)
+    state = io[:32 * n].reshape(2, 4, 4, n)
+    p, q = prod[:256 * n].reshape(2, 2, 4, 4, 4, n)
+    tril = prod[160 * n:180 * n].view(complex).reshape(10, n)
+    return _Views(full, _planes(full).reshape(2, 1, 4, 4, n), state,
+                  state.reshape(2, 2, 2, 2, 2, n).transpose(0, 1, 3, 2, 4, 5),
+                  p, q, p.reshape(2, 2, 2, 4, 2, 2, n),
+                  prod[:160 * n].reshape(4, 4, 10, n), prod[160 * n:240 * n].reshape(2, 4, 10, n),
+                  tril, _planes(tril), prod[:32 * n].view(complex).reshape(4, 4, n))
+
+
+class _Workspace:
+    """Flat buffers for the kernel's intermediates, written in place.
+
+    A batch of P points uses the start of each buffer, P times the size per
+    point given below, so one workspace serves every batch up to its size;
+    ``views(P)`` gives the kernel's shaped views of those starts, made once
+    per batch size.  A buffer is reused once what it held is spent.
+    """
+
+    def __init__(self, io, prod):
+        # 32 floats per point: the input as 16 complex, then the output state
+        self.io = io
+        # 256 floats per point: two products with U; then rho's terms in
+        # [0, 160 P) and a product of them in [160 P, 240 P); then rho as
+        # 16 complex over the terms and its lower triangle over that product
+        self.prod = prod
+        self._views = {}
+
+    def __iter__(self):
+        """The two buffers, io then prod."""
+        return iter((self.io, self.prod))
+
+    def views(self, n):
+        """The kernel's ``_Views`` for a batch of n points."""
+        if n not in self._views:
+            self._views[n] = _views(self.io, self.prod, n)
+        return self._views[n]
 
 
 def _workspace(n):
-    """A workspace for n points."""
-    return _Workspace(np.empty((2, 2, 2, 2, n), dtype=complex), np.empty((2, 4, 4, 4, n)),
-                      np.empty((2, 4, 4, n)), np.empty((2, 4, 4, n)), np.empty((4, 4, 10, n)),
-                      np.empty((2, 4, 10, n)), np.empty((10, n, 2)), np.zeros((4, 4, n, 2)))
+    """A workspace for batches of up to n points."""
+    return _Workspace(np.empty(32 * n), np.empty(256 * n))
 
 
-def _sum_of_products(a, b, combine, c, d, work, axis, out):
-    """add.reduce(combine(a * b, c * d), axis) from zero into out.
-
-    An add.reduce over a leading axis adds its slices one after another.
-    """
-    p, q = work
-    np.multiply(a, b, out=p)
-    np.multiply(c, d, out=q)
-    return np.add.reduce(combine(p, q, out=p), axis=axis, initial=0.0, out=out)
+def _planes(z):
+    """The re and im planes of a complex array, stacked on a new leading axis: a view."""
+    return z.view(float).reshape(z.shape + (2,)).transpose((z.ndim,) + tuple(range(z.ndim)))
 
 
 def _batch_output(U, fa, fb, ws=None):
     """Output states for batched input factors, points last.
 
-    Returns the real and imaginary parts, each of shape (4, 4, P) and
-    indexed [(x, r), (y, t), point] in the subsystem order (A, R_A, B, R_B):
+    Returns the real and imaginary parts, stacked: shape (2, 4, 4, P),
+    indexed [re/im, (x, r), (y, t), point] in the subsystem order
+    (A, R_A, B, R_B):
     out[x, r, y, t] = sum over (a, b) of U[(x, y), (a, b)] psi[a, r] phi[b, t],
     where psi and phi are the (4, P) blocks ``fa`` and ``fb`` of
     ``_input_factor``, indexed [(a, r), point] and [(b, t), point].
@@ -232,20 +289,22 @@ def _batch_output(U, fa, fb, ws=None):
     each product with U is written out on float arrays: the operations of
     ``np.einsum``, so the bits are einsum's.  numpy's complex multiply
     ufunc uses FMA and does not match it; it forms psi[a, r] phi[b, t],
-    as it always has.  The intermediates go to ``ws``, a fresh workspace
-    unless one for P points is given, and the result is a view into it.
+    as it always has.  The intermediates go to ``ws``, a workspace for at
+    least P points (a fresh one by default), and the result is a view into
+    it.
     """
     n = fa.shape[1]
-    ws = _workspace(n) if ws is None else ws
-    full = np.multiply(fa.reshape(2, 1, 2, 1, n), fb.reshape(1, 2, 1, 2, n), out=ws.full)
-    f_re, f_im = (f.reshape(1, 4, 4, n) for f in (full.real, full.imag))  # [., (a, b), (r, t), point]
-    u_re, u_im = U.real[:, :, None, None], U.imag[:, :, None, None]
-    _sum_of_products(u_re, f_re, np.subtract, u_im, f_im, ws.prod, 1, ws.sums[0])
-    _sum_of_products(u_re, f_im, np.add, u_im, f_re, ws.prod, 1, ws.sums[1])
-    # [(x, y), (r, t)] -> [(x, r), (y, t)]
-    np.copyto(ws.state.reshape(2, 2, 2, 2, 2, n),
-              ws.sums.reshape(2, 2, 2, 2, 2, n).transpose(0, 1, 3, 2, 4, 5))
-    return ws.state[0], ws.state[1]
+    v = (_workspace(n) if ws is None else ws).views(n)
+    np.multiply(fa.reshape(2, 1, 2, 1, n), fb.reshape(1, 2, 1, 2, n), out=v.full)
+    p, q = v.p, v.q
+    np.multiply(U.real.reshape(1, 4, 4, 1, 1), v.f, out=p)  # u_re f_re, u_re f_im
+    np.multiply(U.imag.reshape(1, 4, 4, 1, 1), v.f, out=q)  # u_im f_re, u_im f_im
+    np.subtract(p[0], q[1], out=p[0])  # re: u_re f_re - u_im f_im
+    np.add(p[1], q[0], out=p[1])       # im: u_re f_im + u_im f_re
+    # an add.reduce over a leading axis adds its slices one after another;
+    # it writes [x, y, r, t] straight into the [(x, r), (y, t)] layout
+    np.add.reduce(v.p_xyrt, axis=3, initial=0.0, out=v.out_xyrt)
+    return v.state
 
 
 def _batch_entropies(U, fa, fb, ws=None):
@@ -256,47 +315,50 @@ def _batch_entropies(U, fa, fb, ws=None):
     that ``eigvalsh`` reads.  The intermediates go to ``ws`` as in
     ``_batch_output``.
     """
-    ws = _workspace(fa.shape[1]) if ws is None else ws
+    n = fa.shape[1]
+    ws = _workspace(n) if ws is None else ws
     _batch_output(U, fa, fb, ws)
+    v = ws.views(n)
     k, l = _TRIL
+    terms, q = v.terms, v.pair
     # out[:, k] and out[:, l], re and im; mode "raise" would buffer out
-    ws.state.take(k, axis=2, out=ws.terms[:2], mode="clip")
-    ws.state.take(l, axis=2, out=ws.terms[2:], mode="clip")
-    k_re, k_im, l_re, l_im = ws.terms
-    _sum_of_products(k_re, l_re, np.add, k_im, l_im, ws.pairs, 0, ws.tril[..., 0])
-    _sum_of_products(k_im, l_re, np.subtract, k_re, l_im, ws.pairs, 0, ws.tril[..., 1])
-    ws.rho[k, l] = ws.tril
-    rho = ws.rho.view(complex)[..., 0].transpose(2, 0, 1)
-    return entropy_bits(np.linalg.eigvalsh(rho, UPLO="L"))
+    v.state.take(k, axis=2, out=terms[:2], mode="clip")
+    v.state.take(l, axis=2, out=terms[2:], mode="clip")
+    np.multiply(terms[:2], terms[3], out=q)              # k_re l_im, k_im l_im
+    p = np.multiply(terms[:2], terms[2], out=terms[:2])  # k_re l_re, k_im l_re
+    np.add(p[0], q[1], out=p[0])       # re: k_re l_re + k_im l_im
+    np.subtract(p[1], q[0], out=p[1])  # im: k_im l_re - k_re l_im
+    np.add.reduce(p, axis=1, initial=0.0, out=v.tril_planes)
+    v.rho[k, l] = v.tril
+    return entropy_bits(np.linalg.eigvalsh(v.rho.transpose(2, 0, 1), UPLO="L"))
 
 
-def _pair_entropies(U, fa, fb):
+def _pair_entropies(U, fa, fb, ws):
     """``_batch_entropies`` of every pair of an A factor and a B factor.
 
     ``fa`` and ``fb`` are (4, m) and (4, n) blocks of ``_input_factor``;
     the result has shape (m, n).  The pairs go in chunks of ``_CHUNK``
-    through one workspace reused for every full chunk, so the chunks
-    allocate none of the kernel's large intermediates; a short last chunk
-    gets its own exact-size one.
+    through ``ws``, a workspace for ``_CHUNK`` points, so no chunk
+    allocates the kernel's intermediates.
     """
     m, n = fa.shape[1], fb.shape[1]
     vals = np.empty(m * n)
-    ws = _workspace(_CHUNK)
     for lo in range(0, m * n, _CHUNK):
         hi = min(lo + _CHUNK, m * n)
         i, j = np.divmod(np.arange(lo, hi), n)
-        vals[lo:hi] = _batch_entropies(U, fa[:, i], fb[:, j],
-                                       ws=ws if hi - lo == _CHUNK else None)
+        vals[lo:hi] = _batch_entropies(U, fa[:, i], fb[:, j], ws)
     return vals.reshape(m, n)
 
 
-def _grid_entropies(U, ab, mn, ph):
+def _grid_entropies(U, ab, mn, ph, ws=None):
     """Grid-stage entropies and the number of input pairs the kernel scored.
 
     The entropies are flat, in ``np.meshgrid`` order of the axes
-    (alpha, beta, theta, xi, mu, nu) = (ab, ab, ph, ph, mn, mn).  Both sides take the same (angle, phase, weight) triples, so the grid
-    is every pair of one side's input states, and each distinct pair is
-    scored once.  sin(0.0) = 0.0, so every triple with angle 0 gives the
+    (alpha, beta, theta, xi, mu, nu) = (ab, ab, ph, ph, mn, mn).  Both
+    sides take the same (angle, phase, weight) triples, so the grid is
+    every pair of one side's input states, and each distinct pair is
+    scored once, through ``ws`` (a fresh ``_CHUNK``-point workspace by
+    default).  sin(0.0) = 0.0, so every triple with angle 0 gives the
     state (1, 0, 0, 0) up to the sign of zeros; the kernel's sums start
     from +0.0 and leave no trace of those signs, so these triples share
     one state and every grid value keeps its bits.
@@ -304,16 +366,25 @@ def _grid_entropies(U, ab, mn, ph):
     angle, phase, weight = (g.ravel() for g in np.meshgrid(ab, ph, mn, indexing="ij"))
     # the first ph.size * mn.size triples have angle ab[0] = 0; keep the last of them
     dup = ph.size * mn.size - 1
-    states = _input_factor(angle[dup:], phase[dup:], weight[dup:])
+    states = _input_factor(np.array([angle[dup:], phase[dup:], weight[dup:]]))
     side = np.maximum(np.arange(angle.size) - dup, 0).reshape(ab.size, ph.size, mn.size)
-    table = _pair_entropies(U, states, states)
+    table = _pair_entropies(U, states, states, _workspace(_CHUNK) if ws is None else ws)
     vals = table[side[:, None, :, None, :, None], side[None, :, None, :, None, :]]
     return vals.ravel(), table.size
 
 
-def _entropies(U, x):
-    """Output entanglement at each row of an (M, 6) array of angles."""
-    return _batch_entropies(U, *_factors(x))
+def _entropies(U, x, ws=None):
+    """Output entanglement at each row of an (M, 6) array of angles.
+
+    The rows go in chunks of at most ``_CHUNK`` through ``ws``, a workspace
+    for at least min(M, ``_CHUNK``) points (an exact-size one by default).
+    """
+    m = len(x)
+    ws = _workspace(min(m, _CHUNK)) if ws is None else ws
+    vals = np.empty(m)
+    for lo in range(0, m, _CHUNK):
+        vals[lo:lo + _CHUNK] = _batch_entropies(U, *_factors(x[lo:lo + _CHUNK]), ws)
+    return vals
 
 
 def entanglement_of_product_input(U, alpha, beta, theta=0.0, xi=0.0,
@@ -375,9 +446,10 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
         bound on the true entangling power; diagnostics carry the grid
         stage maximum, the refined angles, the evaluation counts of the
         grid and refinement stages and their sum, the number of distinct
-        input pairs the grid stage scored (``grid_distinct``), and the wall
-        time of each stage (``timings``: ``grid_s`` up to the choice of the
-        8 best cells, ``refine_s`` from there on).
+        input pairs the grid stage scored (``grid_distinct``), the number
+        of batched objective calls of the refinement (``refine_calls``),
+        and the wall time of each stage (``timings``: ``grid_s`` up to the
+        choice of the 8 best cells, ``refine_s`` from there on).
 
     The grid takes ``cfg.grid_points_per_axis`` angles in [0, pi/2], four
     phases and max(4, g // 2) weights per side, in every combination.
@@ -398,12 +470,15 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
     in that order, each only if strictly better than the incumbent, and
     one more search polishes the winner.  Every start follows scipy's
     Nelder-Mead path, so the outcome is the one a start-by-start scipy
-    search gives, to the last bit.
+    search gives, to the last bit.  Both stages write the kernel's
+    intermediates into one workspace of ``_CHUNK`` points; a larger batch,
+    such as the first simplices of many starts, goes through it in chunks.
     """
     U = check_unitary(U)
     t_grid = perf_counter()
+    ws = _workspace(_CHUNK)  # the one workspace of both stages
     ab, mn, ph = _grid_axes(cfg)
-    vals, n_distinct = _grid_entropies(U, ab, mn, ph)
+    vals, n_distinct = _grid_entropies(U, ab, mn, ph, ws)
     order = np.argsort(vals)[::-1][:8]
     grid_best = float(vals[order[0]])
 
@@ -413,8 +488,12 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
     starts = np.vstack([np.stack([a[c] for a, c in zip(axes, cells)], axis=1),
                         _LOWS + (_HIGHS - _LOWS) * _halton(cfg.multi_starts, cfg.seed)])
 
+    refine_calls = 0
+
     def objective(x):
-        return -_entropies(U, x)
+        nonlocal refine_calls
+        refine_calls += 1
+        return -_entropies(U, x, ws)
 
     best_val, best_x, n_refine, converged = grid_best, starts[0], 0, True
     for maxiter, xatol, fatol in ((cfg.refinement_iterations, 1e-8, 1e-12),
@@ -438,6 +517,7 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
             "grid_evaluations": vals.size,
             "grid_distinct": n_distinct,
             "refine_evaluations": n_refine,
+            "refine_calls": refine_calls,
             "timings": {"grid_s": t_refine - t_grid, "refine_s": t_end - t_refine},
             "converged": converged,
             "lower_bound": True,

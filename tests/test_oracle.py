@@ -190,9 +190,10 @@ def test_oracle_refinement_pinned(name):
 
 @pytest.mark.parametrize("points", [1, 7, 40, 280])
 def test_batch_entropies_in_a_strided_view_of_a_full_workspace(points):
-    # every intermediate is cut to its first `points` entries along the
-    # 512-long points axis, so each row of the view is strided; the
-    # workspace first holds another batch, so no stale entry may leak
+    # a batch of `points` points in a 512-point workspace that first held
+    # another batch, so no stale entry may leak.  A buffer with a 512-long
+    # points axis is cut to the strided view of its first `points` entries;
+    # a flat buffer is passed whole, and the kernel takes its start
     rng = np.random.default_rng(points)
     U = random_unitary(rng, 4)
     box = oracle._HIGHS - oracle._LOWS
@@ -213,18 +214,33 @@ def test_diagnostics_split_the_stages():
     assert d["refine_evaluations"] > 0
     assert d["grid_evaluations"] + d["refine_evaluations"] == d["n_evaluations"]
     assert d["grid_distinct"] == 129 * 129
+    assert 0 < d["refine_calls"] < d["refine_evaluations"]
     assert sorted(d["timings"]) == ["grid_s", "refine_s"]
     assert all(t > 0 for t in d["timings"].values())
 
 
 def test_default_call_peak_traced_memory():
-    # measured: 3.0 MiB, most of it the 512-point workspace (2.2 MiB) and
-    # the 289 x 289 pair table; the six-angle grid columns took 7.5 MiB and
-    # the 8,192-point chunk loop 24.2 MiB.  About 25 % margin.
+    # measured: 2.8 MiB, most of it the 512-point workspace (1.1 MiB), the
+    # 289 x 289 pair table and the grid values; the six-angle grid columns
+    # took 7.5 MiB and the 8,192-point chunk loop 24.2 MiB.
     U = gate_matrix(0.6, 0.3)
     tracemalloc.start()
     try:
         brute_force_power(U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.75 * 2**20
+
+
+def test_peak_traced_memory_does_not_grow_with_the_start_count():
+    # 200 starts make a 1,400-point first simplex; it goes through the
+    # 512-point workspace in chunks, so the default call's bound holds
+    U = gate_matrix(0.6, 0.3)
+    cfg = SearchConfig(grid_points_per_axis=5, refinement_iterations=20, multi_starts=200)
+    tracemalloc.start()
+    try:
+        brute_force_power(U, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -236,6 +252,8 @@ def test_default_grid_scores_each_distinct_pair_once():
     assert d["grid_evaluations"] == 13 * 13 * 4 * 4 * 6 * 6
     # 13 * 4 * 6 = 312 triples per side, the 24 at angle 0 as one state
     assert d["grid_distinct"] == 289 * 289
+    # 495 batched calls for the 40 starts and 300 for the one-start polish
+    assert d["refine_calls"] == 795
 
 
 @pytest.mark.parametrize("name", sorted(non_finite_gates()))
