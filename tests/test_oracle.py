@@ -188,6 +188,49 @@ def test_oracle_refinement_pinned(name):
     assert got == expected
 
 
+def sandwiched_swap():
+    rng = np.random.default_rng(25)
+    a, b, c, d = (random_unitary(rng, 2) for _ in range(4))
+    return np.kron(a, b) @ gate_matrix(pi / 4, pi / 4) @ np.kron(c, d)
+
+
+# repr of (value, angles, n_evaluations, refine_evaluations, refine_calls)
+# under the default SearchConfig, for gates shaped like the benchmark's
+# oracle operations: a dressed random gate and a locally sandwiched SWAP
+DEFAULT_PINNED = {
+    "dressed": (dressed_gate,
+                ("0.8625359082692149", "(0.785398164080064, 0.7853981628567726, "
+                 "1.6367799648492434, 4.726552893715336, 1.5707963267792682, "
+                 "1.5707963267948966)", "111517", "14173", "815")),
+    "sandwiched_swap": (sandwiched_swap,
+                        ("2.0", "(0.7853981633118514, 0.7853981644658633, "
+                         "1.583886422507109, 4.751659267521326, 1.5707963266527447, "
+                         "1.5707963267948966)", "111069", "13725", "712")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_PINNED))
+def test_oracle_default_config_pinned(name):
+    make_gate, expected = DEFAULT_PINNED[name]
+    res = brute_force_power(make_gate())
+    d = res.diagnostics
+    got = (repr(res.value), repr(d["angles"]), repr(d["n_evaluations"]),
+           repr(d["refine_evaluations"]), repr(d["refine_calls"]))
+    assert got == expected
+
+
+@pytest.mark.parametrize("phases", ["grid", "seeded"])
+def test_complex_exponential_is_cos_plus_i_sin(phases):
+    # the kernel may form e^{i theta} from the cos and sin it has taken;
+    # that keeps every bit only while np.exp agrees with them exactly
+    if phases == "grid":
+        theta = np.append(oracle._grid_axes(SearchConfig())[2], oracle._HIGHS[2])
+    else:
+        theta = np.random.default_rng(2025).uniform(0.0, oracle._HIGHS[2], 10**5)
+    e = np.exp(1j * theta)
+    assert same_bits(e.real, np.cos(theta)) and same_bits(e.imag, np.sin(theta))
+
+
 @pytest.mark.parametrize("points", [1, 7, 40, 280])
 def test_batch_entropies_in_a_strided_view_of_a_full_workspace(points):
     # a batch of `points` points in a 512-point workspace that first held
