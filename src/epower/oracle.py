@@ -20,6 +20,7 @@ from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .epower2q import ProductInputParams
 from .qmath import DomainError, StateVector, check_unitary, entropy_bits
@@ -35,11 +36,16 @@ __all__ = [
 # search box of the six angles (alpha, beta, theta, xi, mu, nu)
 _LOWS = np.zeros(6)
 _HIGHS = np.array([pi / 2, pi / 2, 2 * pi, 2 * pi, pi / 2, pi / 2])
-# lower triangle (row >= column) of a 4x4 matrix
+# lower triangle (row >= column) of a 4x4 matrix, and the flat 4x4 matrix
+# read from it: an entry above the diagonal repeats its mirror image
 _TRIL = np.tril_indices(4)
-# points per chunk of a grid.  In a sweep from 128 to 8,192 points, 256 to
-# 2,048 ran alike, 128 paid per-chunk overhead and 4,096 up faulted again;
-# at 512 the kernel's workspace is about 1.1 MiB.
+_FROM_TRIL = np.zeros((4, 4), dtype=int)
+_FROM_TRIL[_TRIL] = _FROM_TRIL.T[_TRIL] = np.arange(10)
+_FROM_TRIL = _FROM_TRIL.ravel()
+# points per chunk of a grid.  Over 256, 512, 1,024 and 2,048 points the
+# default grid stage ran alike up to 1,024 and about 5 % slower at 2,048;
+# at 512 the products with U run without numpy's buffers, and the kernel's
+# workspace is about 1.25 MiB.
 _CHUNK = 512
 
 
@@ -98,8 +104,9 @@ def minimize(fun, x0, lb, ub, maxiter, xatol, fatol) -> LockstepResult:
     returns its ``x``, ``fun``, ``success`` and evaluation count bit for
     bit, but a step costs at most three calls of ``fun`` for all starts
     together: the reflections, then the expansion and contraction
-    candidates, then the shrink vertices.  A start that has converged
-    leaves the arrays that the steps work on.
+    candidates, then the shrink vertices.  The simplices are held vertex
+    by vertex, [vertex, start], so that a step works on contiguous rows;
+    a start that has converged leaves the arrays that the steps work on.
     """
     lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
     x0 = np.clip(np.asarray(x0, dtype=float), lb, ub)
@@ -111,65 +118,84 @@ def minimize(fun, x0, lb, ub, maxiter, xatol, fatol) -> LockstepResult:
     sim = np.clip(np.where(sim > ub, 2 * ub - sim, sim), lb, ub)
     fsim = fun(sim.reshape(-1, n)).reshape(k, n + 1)
     nfev = k * (n + 1)
-    for _ in range(2):  # as scipy does; tied values may move on the second sort
-        sim, fsim = _sort_vertices(sim, fsim)
-    rows, s, f = np.arange(k), sim, fsim  # the starts still running and their simplices
+    sim, fsim = sim.transpose(1, 0, 2).copy(), fsim.T.copy()
     at = np.arange(k)  # np.arange(rows.size), cut as starts retire
+    for _ in range(2):  # as scipy does; tied values may move on the second sort
+        sim, fsim = _sort_vertices(sim, fsim, at)
+    rows, s, f = at, sim, fsim  # the starts still running and their simplices
     success = np.zeros(k, dtype=bool)
 
     iterations = 1
     while iterations < maxiter:
-        # f is sorted, so its largest |f[0] - f[j]| is f[-1] - f[0]
-        done = f[:, -1] - f[:, 0] <= fatol
+        # f is sorted, so its largest |f[0] - f[j]| is f[-1] - f[0]; the
+        # x test runs only where the f test passed
+        done = f[-1] - f[0] <= fatol
         if done.any():
-            done &= np.abs(s[:, 1:] - s[:, :1]).reshape(rows.size, -1).max(axis=1) <= xatol
-        if done.any():
-            sim[rows[done]], fsim[rows[done]], success[rows[done]] = s[done], f[done], True
-            rows, s, f = rows[~done], s[~done], f[~done]
-            if rows.size == 0:
-                break
-            at = at[:rows.size]
-        xbar = np.add.reduce(s[:, :-1], 1) / n
-        worst = s[:, -1].copy()
-        pts = np.clip(_A * xbar - _B * worst, lb, ub)
+            near = done.nonzero()[0]
+            done[near] = np.maximum.reduce(np.abs(s[1:, near] - s[0, near]), axis=(0, 2)) <= xatol
+            if done.any():
+                sim[:, rows[done]], fsim[:, rows[done]], success[rows[done]] = s[:, done], f[:, done], True
+                rows, s, f = rows[~done], s[:, ~done], f[:, ~done]
+                if rows.size == 0:
+                    break
+                at = at[:rows.size]
+        xbar = np.add.reduce(s[:-1], 0)
+        xbar /= n
+        pts = _A * xbar
+        pts -= _B * s[-1]
+        np.maximum(pts, lb, out=pts)
+        np.minimum(pts, ub, out=pts)
         fxr = fun(pts[2])
         nfev += rows.size
 
         # case code: 3 expand, 2 accept the reflection, 1 contract outside,
-        # 0 contract inside; the first true test of scipy's cascade decides
-        code = np.add.reduce(np.logical_or.accumulate(fxr[:, None] < f[:, _CASE_VERTICES], 1), 1)
-        probe = np.flatnonzero(code != 2)
-        ftrial = np.full(rows.size, np.nan)
+        # 0 contract inside; f is sorted, so the count of scipy's three
+        # tests that pass is the first one that does
+        code = np.add.reduce(fxr < f.take(_CASE_VERTICES, 0), 0)
+        probe = (code != 2).nonzero()[0]
+        ftrial = fxr.copy()  # a reflection that is kept is never replaced
         if probe.size:
             ftrial[probe] = fun(pts[code[probe], probe])
             nfev += probe.size
 
         # expand: keep the better of the two; contract outside: take it if
-        # no worse than the reflection; inside: if better than the worst
-        take = ((ftrial < np.where(code == 0, f[:, -1], fxr))
-                | ((code == 1) & (ftrial == fxr)))
+        # no worse than the reflection; inside: if better than the worst,
+        # which is then min(fxr, f[-1]) as in every other case fxr is
+        take = (ftrial < np.minimum(fxr, f[-1])) | ((code == 1) & (ftrial == fxr))
         pick = np.where(take, code, 2)  # the candidate that replaces the worst vertex
-        s[:, -1], f[:, -1] = pts[pick, at], np.where(take, ftrial, fxr)
-        shrink = np.flatnonzero(pick > code)  # a contraction that was not taken
+        shrink = (pick > code).nonzero()[0]  # a contraction that was not taken
         if shrink.size:
-            best, verts = s[shrink, :1], s[shrink, 1:]
-            verts[:, -1] = worst[shrink]
-            moved = np.clip(best + _SIGMA * (verts - best), lb, ub)
-            s[shrink, 1:] = moved
-            f[shrink, 1:] = fun(moved.reshape(-1, n)).reshape(-1, n)
-            nfev += moved.shape[0] * n
+            best = s[0, shrink]
+            moved = best + _SIGMA * (s[1:, shrink] - best)
+            np.maximum(moved, lb, out=moved)
+            np.minimum(moved, ub, out=moved)
+        s[-1] = pts[pick, at]
+        # the value of the vertex taken: a candidate is taken where it is
+        # the smaller, and a shrink overwrites what this leaves
+        np.minimum(ftrial, fxr, out=f[-1])
+        if shrink.size:
+            s[1:, shrink] = moved
+            # scored start by start, in the order of the other calls
+            f[1:, shrink] = fun(moved.transpose(1, 0, 2).reshape(-1, n)).reshape(-1, n).T
+            nfev += shrink.size * n
         iterations += 1
-        s, f = _sort_vertices(s, f)
+        s, f = _sort_vertices(s, f, at)
 
-    sim[rows], fsim[rows] = s, f
-    return LockstepResult(x=sim[:, 0], fun=np.min(fsim, axis=1), success=success, nfev=nfev)
+    sim[:, rows], fsim[:, rows] = s, f
+    return LockstepResult(x=sim[0], fun=np.min(fsim, axis=0), success=success, nfev=nfev)
 
 
-def _sort_vertices(sim, fsim):
-    """Order each simplex by objective value, best vertex first."""
-    k, m = fsim.shape
-    flat = fsim.argsort(axis=1) + m * np.arange(k)[:, None]
-    return sim.reshape(k * m, -1).take(flat, axis=0), fsim.take(flat)
+def _sort_vertices(sim, fsim, at):
+    """Order each simplex by objective value, best vertex first.
+
+    ``sim`` and ``fsim`` are held [vertex, start]; ``at`` is
+    np.arange(the number of starts).
+    """
+    m, k = fsim.shape
+    flat = fsim.argsort(axis=0)
+    flat *= k
+    flat += at
+    return sim.reshape(m * k, -1).take(flat, axis=0), fsim.take(flat)
 
 
 def output_state(U: np.ndarray, params: ProductInputParams) -> StateVector:
@@ -178,97 +204,130 @@ def output_state(U: np.ndarray, params: ProductInputParams) -> StateVector:
     Returns the 16-dimensional pure state with subsystem order
     (A, R_A, B, R_B); the gate acts as identity on the references.
     """
-    U = check_unitary(U)
+    U = np.ascontiguousarray(check_unitary(U))
     out_re, out_im = _batch_output(U, *_factors(np.array([astuple(params)], dtype=float)))
     amps = np.stack((out_re, out_im), axis=-1).view(complex)
     return StateVector(amps.reshape(16), (2, 2, 2, 2))
 
 
-def _input_factor(apw):
-    """Qubit-and-reference input states, shape (4, ..., P), points last.
+def _factors(x, ws=None):
+    """The A and B input factors of an (M, 6) array of angles.
 
-    ``apw`` stacks the angles, phases and weights, each of shape (..., P):
-    one side's inputs, or both sides' on a further axis.
+    Returns each side's qubit-and-reference input state, a (4, M) complex
+    view [(a, r), point] into the factor buffer of ``ws`` (a fresh
+    workspace for M points by default); its entry (0, 1) and the
+    imaginary parts of (0, 0) and (1, 1) are zero and stay so.  The phase
+    factor is cos + i sin of the phase, the bits of np.exp(1j * phase),
+    and each product with a real factor is taken on the float halves of a
+    complex one, as numpy's complex multiply rounds it.
     """
-    sin, cos = np.sin(apw), np.cos(apw)
-    v = np.zeros((4,) + apw.shape[1:], dtype=complex)
-    v[0] = cos[0]
-    np.multiply(np.multiply(sin[0], np.exp(1j * apw[1]), out=v[2]), cos[2], out=v[2])
-    np.multiply(sin[0], sin[2], out=v[3])
-    return v
-
-
-def _factors(x):
-    """The A and B input factors, each (4, M), of an (M, 6) array of angles."""
-    # rows (alpha, beta), (theta, xi), (mu, nu): each side's angle, phase, weight
-    v = _input_factor(np.ascontiguousarray(x.T).reshape(3, 2, -1))
-    return v[:, 0], v[:, 1]
+    m = len(x)
+    v = (_workspace(m) if ws is None else ws).views(m)
+    np.cos(x, out=v.cos_x)
+    np.sin(x, out=v.sin_x)
+    cos_a, sin_a, phase, cos_w, sin_w = v.trig
+    re_0, re_im_2, re_3 = v.fac_parts
+    np.copyto(re_0, cos_a)
+    np.multiply(sin_a, phase, out=re_im_2)    # sin(angle) e^{i phase}
+    np.multiply(re_im_2, cos_w, out=re_im_2)  # times cos(weight)
+    np.multiply(sin_a, sin_w, out=re_3)
+    return v.sides
 
 
 class _Views(NamedTuple):
-    """The kernel's shaped views of the start of a workspace, for P points."""
+    """The kernel's shaped views of the start of a workspace, for P points.
 
-    # in io: the input, then the output over it
-    full: np.ndarray   # (2, 2, 2, 2, P) complex input, [a, b, r, t, point]
-    f: np.ndarray      # (2, 1, 4, 4, P) its re and im planes, [re/im, ., (a, b), (r, t), point]
+    A tuple field holds the operands of one step, in the order it uses them.
+    """
+
+    # in fac, [side, (a, r), point]
+    sides: tuple       # each side's (4, P) complex factor
+    fac_parts: tuple   # the re of entries (0, 0) and (1, 1), re and im of (1, 0)
+    # in io: the cos and sin of the inputs, [cos/sin, angle/phase/weight,
+    # side, point]; then the input's planes -im, re, im over them, [(a, b),
+    # plane, (r, t, point)]; then the output state over those
+    cos_x: np.ndarray  # (P, 6) the cos, as x is laid out
+    sin_x: np.ndarray  # (P, 6) the sin
+    trig: tuple        # cos and sin of the angle, both of the phase, cos and sin of the weight
+    planes: tuple      # (4, 2, 4 P) re and im, then im and -im
+    by_u: np.ndarray   # (2, 1, 4, 8 P) windows: (re, im), then (-im, re)
     state: np.ndarray  # (2, 4, 4, P) the output, [re/im, (x, r), (y, t), point]
     out_xyrt: np.ndarray  # (2, 2, 2, 2, 2, P) the output as [re/im, x, y, r, t, point]
-    # in prod: the products with U, then rho's terms, then rho
-    p: np.ndarray      # (2, 4, 4, 4, P) u_re times f, [re/im, (x, y), (a, b), (r, t), point]
-    q: np.ndarray      # (2, 4, 4, 4, P) u_im times f, after p
-    p_xyrt: np.ndarray  # (2, 2, 2, 4, 2, 2, P) p as [re/im, x, y, (a, b), r, t, point]
-    terms: np.ndarray  # (4, 4, 10, P) k_re, k_im, l_re, l_im, [., m, (k, l) pair, point]
-    pair: np.ndarray   # (2, 4, 10, P) a product of terms, after them
-    tril: np.ndarray   # (10, P) complex lower triangle of rho, over that product
+    # in prod: the input at its end, then the products with U over it,
+    # then rho's terms, then rho
+    full: np.ndarray   # (2, 2, 2, 2, P) complex input, [a, b, r, t, point]
+    full_planes: np.ndarray  # (4, 2, 4 P) its re and im, [(a, b), re/im, (r, t, point)]
+    uf: tuple          # (2, 4, 4, 8 P) U's re and im times by_u, [., (x, y), (a, b), .]; each
+    uf_xyrt: np.ndarray  # (2, 2, 2, 4, 2, 2, P) their sum as [re/im, x, y, (a, b), r, t, point]
+    terms: tuple       # (2, 4, 10, P) k and l, re and im, [., m, (k, l) pair, point]; l_re, l_im
+    pq: tuple          # (2, 4, 10, P) products p over k and q after the terms; their planes
+    tril: np.ndarray   # (10, P) complex lower triangle of rho, over q
     tril_planes: np.ndarray  # (2, 10, P) its re and im planes
-    rho: np.ndarray    # (4, 4, P) complex rho, [k, l, point], over the terms
+    rho: tuple         # complex rho over the terms, (16, P), and its (P, 4, 4) matrices
 
 
-def _views(io, prod, n):
-    """The kernel's ``_Views`` of buffers ``io`` and ``prod`` for n points."""
-    full = io[:32 * n].view(complex).reshape(2, 2, 2, 2, n)
+def _views(io, prod, fac, n):
+    """The kernel's ``_Views`` of buffers ``io``, ``prod`` and ``fac`` for n points."""
+    fac = fac[..., :n]
+    cos, sin = trig = io[:12 * n].reshape(2, 3, 2, n)
+    planes = io[:48 * n].reshape(4, 3, 4 * n)
+    # overlapping windows of the planes: 1 and 2, then 0 and 1
+    by_u = sliding_window_view(planes.reshape(4, 12 * n), 8 * n, axis=1)[:, 4 * n::-4 * n]
     state = io[:32 * n].reshape(2, 4, 4, n)
-    p, q = prod[:256 * n].reshape(2, 2, 4, 4, 4, n)
+    full = prod[224 * n:256 * n].view(complex).reshape(2, 2, 2, 2, n)
+    uf = prod[:256 * n].reshape(2, 4, 4, 8 * n)
+    terms = prod[:160 * n].reshape(2, 2, 4, 10, n)
+    p, q = terms[0], prod[160 * n:240 * n].reshape(2, 4, 10, n)
     tril = prod[160 * n:180 * n].view(complex).reshape(10, n)
-    return _Views(full, _planes(full).reshape(2, 1, 4, 4, n), state,
-                  state.reshape(2, 2, 2, 2, 2, n).transpose(0, 1, 3, 2, 4, 5),
-                  p, q, p.reshape(2, 2, 2, 4, 2, 2, n),
-                  prod[:160 * n].reshape(4, 4, 10, n), prod[160 * n:240 * n].reshape(2, 4, 10, n),
-                  tril, _planes(tril), prod[:32 * n].view(complex).reshape(4, 4, n))
+    rho = prod[:32 * n].view(complex).reshape(16, n)
+    return _Views(tuple(fac), (fac[:, 0].real, _planes(fac[:, 2]), fac[:, 3].real),
+                  cos.reshape(6, n).T, sin.reshape(6, n).T,
+                  (cos[0], sin[0], trig[:, 1], cos[2], sin[2]),
+                  (planes[:, 1:], planes[:, 2], planes[:, 0]), by_u.transpose(1, 0, 2)[:, None],
+                  state, state.reshape(2, 2, 2, 2, 2, n).transpose(0, 1, 3, 2, 4, 5),
+                  full, _planes(full).reshape(2, 4, 4 * n).transpose(1, 0, 2), (uf, *uf),
+                  uf[0].reshape(2, 2, 4, 2, 2, 2, n).transpose(3, 0, 1, 2, 4, 5, 6),
+                  (*terms, *terms[1]), (p, q, *p, *q),
+                  tril, _planes(tril), (rho, rho.reshape(4, 4, n).transpose(2, 0, 1)))
 
 
 class _Workspace:
-    """Flat buffers for the kernel's intermediates, written in place.
+    """Buffers for the kernel's intermediates, written in place.
 
-    A batch of P points uses the start of each buffer, P times the size per
-    point given below, so one workspace serves every batch up to its size;
-    ``views(P)`` gives the kernel's shaped views of those starts, made once
-    per batch size.  A buffer is reused once what it held is spent.
+    A batch of P points uses the start of each flat buffer, P times the
+    size per point given below, and the first P points of the factor
+    buffer, so one workspace serves every batch up to its size;
+    ``views(P)`` gives the kernel's shaped views of them, made once per
+    batch size.  A buffer is reused once what it held is spent.
     """
 
-    def __init__(self, io, prod):
-        # 32 floats per point: the input as 16 complex, then the output state
+    def __init__(self, io, prod, fac):
+        # 48 floats per point: the cos and sin of the inputs; then the
+        # planes -im, re and im of the input; then the output state
         self.io = io
-        # 256 floats per point: two products with U; then rho's terms in
-        # [0, 160 P) and a product of them in [160 P, 240 P); then rho as
-        # 16 complex over the terms and its lower triangle over that product
+        # 256 floats per point: the input as 16 complex at its end; then
+        # the products with U; then rho's terms in [0, 160 P) and a product
+        # of them in [160 P, 240 P); then rho as 16 complex over the terms
+        # and its lower triangle over that product
         self.prod = prod
+        # (2, 4, N) complex input factors, zero where ``_factors`` says
+        self.fac = fac
         self._views = {}
 
     def __iter__(self):
-        """The two buffers, io then prod."""
-        return iter((self.io, self.prod))
+        """The three buffers, io, prod and fac."""
+        return iter((self.io, self.prod, self.fac))
 
     def views(self, n):
         """The kernel's ``_Views`` for a batch of n points."""
         if n not in self._views:
-            self._views[n] = _views(self.io, self.prod, n)
+            self._views[n] = _views(self.io, self.prod, self.fac, n)
         return self._views[n]
 
 
 def _workspace(n):
     """A workspace for batches of up to n points."""
-    return _Workspace(np.empty(32 * n), np.empty(256 * n))
+    return _Workspace(np.empty(48 * n), np.empty(256 * n), np.zeros((2, 4, n), dtype=complex))
 
 
 def _planes(z):
@@ -283,27 +342,33 @@ def _batch_output(U, fa, fb, ws=None):
     indexed [re/im, (x, r), (y, t), point] in the subsystem order
     (A, R_A, B, R_B):
     out[x, r, y, t] = sum over (a, b) of U[(x, y), (a, b)] psi[a, r] phi[b, t],
-    where psi and phi are the (4, P) blocks ``fa`` and ``fb`` of
-    ``_input_factor``, indexed [(a, r), point] and [(b, t), point].
+    where psi and phi are the (4, P) factors ``fa`` and ``fb`` of
+    ``_factors``, indexed [(a, r), point] and [(b, t), point].
     The sum runs from zero over (a, b) in order, a outer and b inner, and
     each product with U is written out on float arrays: the operations of
     ``np.einsum``, so the bits are einsum's.  numpy's complex multiply
     ufunc uses FMA and does not match it; it forms psi[a, r] phi[b, t],
-    as it always has.  The intermediates go to ``ws``, a workspace for at
-    least P points (a fresh one by default), and the result is a view into
-    it.
+    as it always has.  The planes of that product are copied out as -im,
+    re, im, so that one multiply forms u_re (re, im) and u_im (-im, re)
+    over runs of 8 P contiguous floats, which numpy runs without its
+    buffers at P = ``_CHUNK``, and one add forms each term:
+    u_re re + (-(u_im im)) is u_re re - u_im im to the bit.  The
+    intermediates go to ``ws``, a workspace for at least P points (a fresh
+    one by default), and the result is a view into it.
     """
-    n = fa.shape[1]
+    n = fa.shape[-1]
     v = (_workspace(n) if ws is None else ws).views(n)
     np.multiply(fa.reshape(2, 1, 2, 1, n), fb.reshape(1, 2, 1, 2, n), out=v.full)
-    p, q = v.p, v.q
-    np.multiply(U.real.reshape(1, 4, 4, 1, 1), v.f, out=p)  # u_re f_re, u_re f_im
-    np.multiply(U.imag.reshape(1, 4, 4, 1, 1), v.f, out=q)  # u_im f_re, u_im f_im
-    np.subtract(p[0], q[1], out=p[0])  # re: u_re f_re - u_im f_im
-    np.add(p[1], q[0], out=p[1])       # im: u_re f_im + u_im f_re
+    re_im, im, neg_im = v.planes
+    np.copyto(re_im, v.full_planes)
+    np.negative(im, out=neg_im)
+    uf, by_re, by_im = v.uf
+    # U's re and im planes, [., (x, y), (a, b), .]
+    np.multiply(U.view(float).reshape(4, 4, 2, 1).transpose(2, 0, 1, 3), v.by_u, out=uf)
+    np.add(by_re, by_im, out=by_re)
     # an add.reduce over a leading axis adds its slices one after another;
     # it writes [x, y, r, t] straight into the [(x, r), (y, t)] layout
-    np.add.reduce(v.p_xyrt, axis=3, initial=0.0, out=v.out_xyrt)
+    np.add.reduce(v.uf_xyrt, axis=3, initial=0.0, out=v.out_xyrt)
     return v.state
 
 
@@ -315,38 +380,43 @@ def _batch_entropies(U, fa, fb, ws=None):
     that ``eigvalsh`` reads.  The intermediates go to ``ws`` as in
     ``_batch_output``.
     """
-    n = fa.shape[1]
+    n = fa.shape[-1]
     ws = _workspace(n) if ws is None else ws
-    _batch_output(U, fa, fb, ws)
+    state = _batch_output(U, fa, fb, ws)
     v = ws.views(n)
-    k, l = _TRIL
-    terms, q = v.terms, v.pair
+    k_terms, l_terms, l_re, l_im = v.terms
+    p, q, p_re, p_im, q_re, q_im = v.pq
     # out[:, k] and out[:, l], re and im; mode "raise" would buffer out
-    v.state.take(k, axis=2, out=terms[:2], mode="clip")
-    v.state.take(l, axis=2, out=terms[2:], mode="clip")
-    np.multiply(terms[:2], terms[3], out=q)              # k_re l_im, k_im l_im
-    p = np.multiply(terms[:2], terms[2], out=terms[:2])  # k_re l_re, k_im l_re
-    np.add(p[0], q[1], out=p[0])       # re: k_re l_re + k_im l_im
-    np.subtract(p[1], q[0], out=p[1])  # im: k_im l_re - k_re l_im
+    state.take(_TRIL[0], axis=2, out=k_terms, mode="clip")
+    state.take(_TRIL[1], axis=2, out=l_terms, mode="clip")
+    np.multiply(k_terms, l_im, out=q)  # k_re l_im, k_im l_im
+    np.multiply(k_terms, l_re, out=p)  # k_re l_re, k_im l_re
+    np.add(p_re, q_im, out=p_re)       # re: k_re l_re + k_im l_im
+    np.subtract(p_im, q_re, out=p_im)  # im: k_im l_re - k_re l_im
     np.add.reduce(p, axis=1, initial=0.0, out=v.tril_planes)
-    v.rho[k, l] = v.tril
-    return entropy_bits(np.linalg.eigvalsh(v.rho.transpose(2, 0, 1), UPLO="L"))
+    rho, matrices = v.rho
+    v.tril.take(_FROM_TRIL, axis=0, out=rho, mode="clip")
+    return entropy_bits(np.linalg.eigvalsh(matrices, UPLO="L"))
 
 
 def _pair_entropies(U, fa, fb, ws):
     """``_batch_entropies`` of every pair of an A factor and a B factor.
 
-    ``fa`` and ``fb`` are (4, m) and (4, n) blocks of ``_input_factor``;
+    ``fa`` and ``fb`` are (4, m) and (4, n) blocks of ``_factors``;
     the result has shape (m, n).  The pairs go in chunks of ``_CHUNK``
-    through ``ws``, a workspace for ``_CHUNK`` points, so no chunk
-    allocates the kernel's intermediates.
+    through ``ws``, a workspace for ``_CHUNK`` points; each chunk gathers
+    its factors into the workspace's factor buffer, so no chunk allocates
+    the kernel's intermediates.
     """
     m, n = fa.shape[1], fb.shape[1]
     vals = np.empty(m * n)
     for lo in range(0, m * n, _CHUNK):
         hi = min(lo + _CHUNK, m * n)
         i, j = np.divmod(np.arange(lo, hi), n)
-        vals[lo:hi] = _batch_entropies(U, fa[:, i], fb[:, j], ws)
+        sa, sb = ws.views(hi - lo).sides
+        fa.take(i, axis=1, out=sa, mode="clip")
+        fb.take(j, axis=1, out=sb, mode="clip")
+        vals[lo:hi] = _batch_entropies(U, sa, sb, ws)
     return vals.reshape(m, n)
 
 
@@ -366,7 +436,8 @@ def _grid_entropies(U, ab, mn, ph, ws=None):
     angle, phase, weight = (g.ravel() for g in np.meshgrid(ab, ph, mn, indexing="ij"))
     # the first ph.size * mn.size triples have angle ab[0] = 0; keep the last of them
     dup = ph.size * mn.size - 1
-    states = _input_factor(np.array([angle[dup:], phase[dup:], weight[dup:]]))
+    # both sides of the rows (angle, angle, phase, phase, weight, weight)
+    states = _factors(np.repeat(np.array([angle[dup:], phase[dup:], weight[dup:]]).T, 2, 1))[0]
     side = np.maximum(np.arange(angle.size) - dup, 0).reshape(ab.size, ph.size, mn.size)
     table = _pair_entropies(U, states, states, _workspace(_CHUNK) if ws is None else ws)
     vals = table[side[:, None, :, None, :, None], side[None, :, None, :, None, :]]
@@ -381,10 +452,9 @@ def _entropies(U, x, ws=None):
     """
     m = len(x)
     ws = _workspace(min(m, _CHUNK)) if ws is None else ws
-    vals = np.empty(m)
-    for lo in range(0, m, _CHUNK):
-        vals[lo:lo + _CHUNK] = _batch_entropies(U, *_factors(x[lo:lo + _CHUNK]), ws)
-    return vals
+    vals = [_batch_entropies(U, *_factors(x[lo:lo + _CHUNK], ws), ws)
+            for lo in range(0, m, _CHUNK)]
+    return vals[0] if len(vals) == 1 else np.concatenate(vals)
 
 
 def entanglement_of_product_input(U, alpha, beta, theta=0.0, xi=0.0,
@@ -393,7 +463,7 @@ def entanglement_of_product_input(U, alpha, beta, theta=0.0, xi=0.0,
     angles = np.array([[alpha, beta, theta, xi, mu, nu]], dtype=float)
     if not np.isfinite(angles).all():
         raise DomainError(f"input angles must be finite, got {angles[0].tolist()}")
-    return float(_entropies(check_unitary(U), angles)[0])
+    return float(_entropies(np.ascontiguousarray(check_unitary(U)), angles)[0])
 
 
 def _grid_axes(cfg: SearchConfig):
@@ -449,7 +519,8 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
         input pairs the grid stage scored (``grid_distinct``), the number
         of batched objective calls of the refinement (``refine_calls``),
         and the wall time of each stage (``timings``: ``grid_s`` up to the
-        choice of the 8 best cells, ``refine_s`` from there on).
+        choice of the 8 best cells, ``refine_s`` from there on, and
+        ``polish_s``, the final polish's share of ``refine_s``).
 
     The grid takes ``cfg.grid_points_per_axis`` angles in [0, pi/2], four
     phases and max(4, g // 2) weights per side, in every combination.
@@ -470,23 +541,27 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
     in that order, each only if strictly better than the incumbent, and
     one more search polishes the winner.  Every start follows scipy's
     Nelder-Mead path, so the outcome is the one a start-by-start scipy
-    search gives, to the last bit.  Both stages write the kernel's
-    intermediates into one workspace of ``_CHUNK`` points; a larger batch,
-    such as the first simplices of many starts, goes through it in chunks.
+    search gives, to the last bit.  Each stage writes the kernel's
+    intermediates into its own workspace of ``_CHUNK`` points; a larger
+    batch, such as the first simplices of many starts, goes through it in
+    chunks.  The grid's workspace and values are freed before the
+    refinement, which keeps only their count and the 8 best cells.
     """
-    U = check_unitary(U)
+    U = np.ascontiguousarray(check_unitary(U))
     t_grid = perf_counter()
-    ws = _workspace(_CHUNK)  # the one workspace of both stages
     ab, mn, ph = _grid_axes(cfg)
-    vals, n_distinct = _grid_entropies(U, ab, mn, ph, ws)
-    order = np.argsort(vals)[::-1][:8]
+    vals, n_distinct = _grid_entropies(U, ab, mn, ph)
+    # keep the count and the 8 best cells, not the grid values or their order
+    n_grid, order = vals.size, np.argsort(vals)[::-1][:8].copy()
     grid_best = float(vals[order[0]])
+    del vals
 
     t_refine = perf_counter()
     axes = (ab, ab, ph, ph, mn, mn)
     cells = np.unravel_index(order, [a.size for a in axes])
     starts = np.vstack([np.stack([a[c] for a, c in zip(axes, cells)], axis=1),
                         _LOWS + (_HIGHS - _LOWS) * _halton(cfg.multi_starts, cfg.seed)])
+    ws = _workspace(_CHUNK)
 
     refine_calls = 0
 
@@ -498,6 +573,7 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
     best_val, best_x, n_refine, converged = grid_best, starts[0], 0, True
     for maxiter, xatol, fatol in ((cfg.refinement_iterations, 1e-8, 1e-12),
                                   (2 * cfg.refinement_iterations, 1e-9, 1e-13)):
+        t_pass = perf_counter()
         res = minimize(objective, starts, _LOWS, _HIGHS, maxiter, xatol, fatol)
         n_refine += res.nfev
         for x, fx, success in zip(res.x, res.fun, res.success):
@@ -513,12 +589,13 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
         diagnostics={
             "angles": tuple(float(v) for v in best_x),
             "grid_best": grid_best,
-            "n_evaluations": vals.size + n_refine,
-            "grid_evaluations": vals.size,
+            "n_evaluations": n_grid + n_refine,
+            "grid_evaluations": n_grid,
             "grid_distinct": n_distinct,
             "refine_evaluations": n_refine,
             "refine_calls": refine_calls,
-            "timings": {"grid_s": t_refine - t_grid, "refine_s": t_end - t_refine},
+            "timings": {"grid_s": t_refine - t_grid, "refine_s": t_end - t_refine,
+                        "polish_s": t_end - t_pass},
             "converged": converged,
             "lower_bound": True,
         },

@@ -258,14 +258,16 @@ def test_diagnostics_split_the_stages():
     assert d["grid_evaluations"] + d["refine_evaluations"] == d["n_evaluations"]
     assert d["grid_distinct"] == 129 * 129
     assert 0 < d["refine_calls"] < d["refine_evaluations"]
-    assert sorted(d["timings"]) == ["grid_s", "refine_s"]
+    assert sorted(d["timings"]) == ["grid_s", "polish_s", "refine_s"]
     assert all(t > 0 for t in d["timings"].values())
+    assert 0 < d["timings"]["polish_s"] < d["timings"]["refine_s"]
 
 
 def test_default_call_peak_traced_memory():
-    # measured: 2.8 MiB, most of it the 512-point workspace (1.1 MiB), the
-    # 289 x 289 pair table and the grid values; the six-angle grid columns
-    # took 7.5 MiB and the 8,192-point chunk loop 24.2 MiB.
+    # measured: 2.2 MiB, most of it the grid's 512-point workspace (1.25
+    # MiB) and the 289 x 289 pair table; the grid values and their order
+    # are gone before the refinement's workspace is made.  The six-angle
+    # grid columns took 7.5 MiB and the 8,192-point chunk loop 24.2 MiB.
     U = gate_matrix(0.6, 0.3)
     tracemalloc.start()
     try:
