@@ -122,23 +122,24 @@ def minimize(fun, x0, lb, ub, maxiter, xatol, fatol) -> LockstepResult:
     at = np.arange(k)  # np.arange(rows.size), cut as starts retire
     for _ in range(2):  # as scipy does; tied values may move on the second sort
         sim, fsim = _sort_vertices(sim, fsim, at)
-    rows, s, f = at, sim, fsim  # the starts still running and their simplices
+    rows, s, f = np.arange(k), sim, fsim  # the starts still running and their simplices
     success = np.zeros(k, dtype=bool)
 
     iterations = 1
     while iterations < maxiter:
         # f is sorted, so its largest |f[0] - f[j]| is f[-1] - f[0]; the
         # x test runs only where the f test passed
-        done = f[-1] - f[0] <= fatol
-        if done.any():
-            near = done.nonzero()[0]
-            done[near] = np.maximum.reduce(np.abs(s[1:, near] - s[0, near]), axis=(0, 2)) <= xatol
-            if done.any():
-                sim[:, rows[done]], fsim[:, rows[done]], success[rows[done]] = s[:, done], f[:, done], True
-                rows, s, f = rows[~done], s[:, ~done], f[:, ~done]
-                if rows.size == 0:
-                    break
-                at = at[:rows.size]
+        done = (f[-1] - f[0] <= fatol).nonzero()[0]
+        if done.size:
+            d = s[:, done]
+            d = d[1:] - d[0]
+            done = done[np.maximum.reduce(np.abs(d, out=d), axis=(0, 2)) <= xatol]
+        if done.size:
+            sim[:, rows[done]], fsim[:, rows[done]], success[rows[done]] = s[:, done], f[:, done], True
+            rows, s, f = np.delete(rows, done), np.delete(s, done, 1), np.delete(f, done, 1)
+            if rows.size == 0:
+                break
+            at = at[:rows.size]
         xbar = np.add.reduce(s[:-1], 0)
         xbar /= n
         pts = _A * xbar
@@ -153,14 +154,15 @@ def minimize(fun, x0, lb, ub, maxiter, xatol, fatol) -> LockstepResult:
         # tests that pass is the first one that does
         code = np.add.reduce(fxr < f.take(_CASE_VERTICES, 0), 0)
         probe = (code != 2).nonzero()[0]
-        ftrial = fxr.copy()  # a reflection that is kept is never replaced
+        ftrial = fxr.copy()  # the reflection's value where no other point is scored
         if probe.size:
             ftrial[probe] = fun(pts[code[probe], probe])
             nfev += probe.size
 
         # expand: keep the better of the two; contract outside: take it if
-        # no worse than the reflection; inside: if better than the worst,
-        # which is then min(fxr, f[-1]) as in every other case fxr is
+        # no worse than the reflection; inside: if better than the worst
+        # vertex.  min(fxr, f[-1]) is f[-1] for an inside contraction, fxr
+        # for every other case
         take = (ftrial < np.minimum(fxr, f[-1])) | ((code == 1) & (ftrial == fxr))
         pick = np.where(take, code, 2)  # the candidate that replaces the worst vertex
         shrink = (pick > code).nonzero()[0]  # a contraction that was not taken
@@ -170,12 +172,12 @@ def minimize(fun, x0, lb, ub, maxiter, xatol, fatol) -> LockstepResult:
             np.maximum(moved, lb, out=moved)
             np.minimum(moved, ub, out=moved)
         s[-1] = pts[pick, at]
-        # the value of the vertex taken: a candidate is taken where it is
-        # the smaller, and a shrink overwrites what this leaves
+        # the new vertex's value: a candidate taken is the smaller of the
+        # two, and a shrink overwrites what this leaves
         np.minimum(ftrial, fxr, out=f[-1])
         if shrink.size:
             s[1:, shrink] = moved
-            # scored start by start, in the order of the other calls
+            # passed start by start, the order the calls have always had
             f[1:, shrink] = fun(moved.transpose(1, 0, 2).reshape(-1, n)).reshape(-1, n).T
             nfev += shrink.size * n
         iterations += 1
