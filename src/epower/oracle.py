@@ -220,8 +220,9 @@ def _factors(x, ws=None):
     workspace for M points by default); its entry (0, 1) and the
     imaginary parts of (0, 0) and (1, 1) are zero and stay so.  The phase
     factor is cos + i sin of the phase, the bits of np.exp(1j * phase),
-    and each product with a real factor is taken on the float halves of a
-    complex one, as numpy's complex multiply rounds it.
+    and its products with real factors are taken part by part, which
+    rounds as numpy's complex multiply by a real does; only the sign of a
+    zero may differ, and the kernel's sums from +0.0 leave no trace of it.
     """
     m = len(x)
     v = (_workspace(m) if ws is None else ws).views(m)
@@ -354,7 +355,8 @@ def _batch_output(U, fa, fb, ws=None):
     re, im, so that one multiply forms u_re (re, im) and u_im (-im, re)
     over runs of 8 P contiguous floats, which numpy runs without its
     buffers at P = ``_CHUNK``, and one add forms each term:
-    u_re re + (-(u_im im)) is u_re re - u_im im to the bit.  The
+    u_re re + (-(u_im im)) is u_re re - u_im im to the bit.  U is a
+    C-contiguous complex array, read through a float view.  The
     intermediates go to ``ws``, a workspace for at least P points (a fresh
     one by default), and the result is a view into it.
     """
