@@ -245,7 +245,7 @@ class _Views(NamedTuple):
 
     # in fac, [side, (a, r), point]
     sides: tuple       # each side's (4, P) complex factor
-    fac_parts: tuple   # the re of entries (0, 0) and (1, 1), re and im of (1, 0)
+    fac_parts: tuple   # the re of entry (0, 0), re and im of (1, 0), re of (1, 1)
     # in io: the cos and sin of the inputs, [cos/sin, angle/phase/weight,
     # side, point]; then the input's planes -im, re, im over them, [(a, b),
     # plane, (r, t, point)]; then the output state over those
