@@ -360,7 +360,7 @@ def _batch_output(U, fa, fb, ws=None):
     intermediates go to ``ws``, a workspace for at least P points (a fresh
     one by default), and the result is a view into it.
     """
-    n = fa.shape[-1]
+    n = fa.shape[1]
     v = (_workspace(n) if ws is None else ws).views(n)
     np.multiply(fa.reshape(2, 1, 2, 1, n), fb.reshape(1, 2, 1, 2, n), out=v.full)
     re_im, im, neg_im = v.planes
@@ -384,7 +384,7 @@ def _batch_entropies(U, fa, fb, ws=None):
     that ``eigvalsh`` reads.  The intermediates go to ``ws`` as in
     ``_batch_output``.
     """
-    n = fa.shape[-1]
+    n = fa.shape[1]
     ws = _workspace(n) if ws is None else ws
     state = _batch_output(U, fa, fb, ws)
     v = ws.views(n)
