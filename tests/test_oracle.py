@@ -312,6 +312,19 @@ def test_oracle_entry_points_reject_non_finite_gates(name):
         entanglement_of_product_input(U, 0.1, 0.2)
 
 
+def test_oracle_entry_points_take_any_memory_layout():
+    # the kernel reads U through a float view of a C-ordered array; the
+    # entry points hand it one whatever layout the caller's gate has
+    U = dressed_gate()
+    for other in (np.asfortranarray(U), U.T.copy().T, U.real + 1j * U.imag):
+        params = ProductInputParams(alpha=0.3, beta=0.7, theta=1.1, xi=2.3, mu=0.4, nu=1.2)
+        assert same_bits(output_state(other, params).amplitudes, output_state(U, params).amplitudes)
+        assert (entanglement_of_product_input(other, 0.3, 0.7, 1.1)
+                == entanglement_of_product_input(U, 0.3, 0.7, 1.1))
+        a, b = brute_force_power(other, LIGHT), brute_force_power(U, LIGHT)
+        assert (a.value, a.diagnostics["angles"]) == (b.value, b.diagnostics["angles"])
+
+
 @pytest.mark.parametrize("position", range(6))
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_product_input_rejects_non_finite_angle(position, bad):
