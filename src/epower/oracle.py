@@ -207,25 +207,25 @@ def output_state(U: np.ndarray, params: ProductInputParams) -> StateVector:
     (A, R_A, B, R_B); the gate acts as identity on the references.
     """
     U = np.ascontiguousarray(check_unitary(U))
-    out_re, out_im = _batch_output(U, *_factors(np.array([astuple(params)], dtype=float)))
+    ws = _Workspace(1)
+    out_re, out_im = _batch_output(U, *_factors(np.array([astuple(params)], dtype=float), ws), ws)
     amps = np.stack((out_re, out_im), axis=-1).view(complex)
     return StateVector(amps.reshape(16), (2, 2, 2, 2))
 
 
-def _factors(x, ws=None):
+def _factors(x, ws):
     """The A and B input factors of an (M, 6) array of angles.
 
     Returns each side's qubit-and-reference input state, a (4, M) complex
-    view [(a, r), point] into the factor buffer of ``ws`` (a fresh
-    workspace for M points by default); its entry (0, 1) and the
-    imaginary parts of (0, 0) and (1, 1) are zero and stay so.  The phase
-    factor is cos + i sin of the phase, the bits of np.exp(1j * phase),
-    and its products with real factors are taken part by part, which
-    rounds as numpy's complex multiply by a real does; only the sign of a
-    zero may differ, and the kernel's sums from +0.0 leave no trace of it.
+    view [(a, r), point] into the factor buffer of ``ws``, a workspace for
+    at least M points; its entry (0, 1) and the imaginary parts of (0, 0)
+    and (1, 1) are zero and stay so.  The phase factor is cos + i sin of
+    the phase, the bits of np.exp(1j * phase), and its products with real
+    factors are taken part by part, which rounds as numpy's complex
+    multiply by a real does; only the sign of a zero may differ, and the
+    kernel's sums from +0.0 leave no trace of it.
     """
-    m = len(x)
-    v = (_workspace(m) if ws is None else ws).views(m)
+    v = ws.views(len(x))
     np.cos(x, out=v.cos_x)
     np.sin(x, out=v.sin_x)
     cos_a, sin_a, phase, cos_w, sin_w = v.trig
@@ -237,100 +237,81 @@ def _factors(x, ws=None):
     return v.sides
 
 
-class _Views(NamedTuple):
-    """The kernel's shaped views of the start of a workspace, for P points.
-
-    A tuple field holds the operands of one step, in the order it uses them.
-    """
-
-    # in fac, [side, (a, r), point]
-    sides: tuple       # each side's (4, P) complex factor
-    fac_parts: tuple   # the re of entry (0, 0), re and im of (1, 0), re of (1, 1)
-    # in io: the cos and sin of the inputs, [cos/sin, angle/phase/weight,
-    # side, point]; then the input's planes -im, re, im over them, [(a, b),
-    # plane, (r, t, point)]; then the output state over those
-    cos_x: np.ndarray  # (P, 6) the cos, as x is laid out
-    sin_x: np.ndarray  # (P, 6) the sin
-    trig: tuple        # cos and sin of the angle, both of the phase, cos and sin of the weight
-    planes: tuple      # (4, 2, 4 P) re and im, then im and -im
-    by_u: np.ndarray   # (2, 1, 4, 8 P) windows: (re, im), then (-im, re)
-    state: np.ndarray  # (2, 4, 4, P) the output, [re/im, (x, r), (y, t), point]
-    out_xyrt: np.ndarray  # (2, 2, 2, 2, 2, P) the output as [re/im, x, y, r, t, point]
-    # in prod: the input at its end, then the products with U over it,
-    # then rho's terms, then rho
-    full: np.ndarray   # (2, 2, 2, 2, P) complex input, [a, b, r, t, point]
-    full_planes: np.ndarray  # (4, 2, 4 P) its re and im, [(a, b), re/im, (r, t, point)]
-    uf: tuple          # (2, 4, 4, 8 P) U's re and im times by_u, [., (x, y), (a, b), .]; each
-    uf_xyrt: np.ndarray  # (2, 2, 2, 4, 2, 2, P) their sum as [re/im, x, y, (a, b), r, t, point]
-    terms: tuple       # (2, 4, 10, P) k and l, re and im, [., m, (k, l) pair, point]; l_re, l_im
-    pq: tuple          # (2, 4, 10, P) products p over k and q after the terms; their planes
-    tril: np.ndarray   # (10, P) complex lower triangle of rho, over q
-    tril_planes: np.ndarray  # (2, 10, P) its re and im planes
-    rho: tuple         # complex rho over the terms, (16, P), and its (P, 4, 4) matrices
-
-
-def _views(io, prod, fac, n):
-    """The kernel's ``_Views`` of buffers ``io``, ``prod`` and ``fac`` for n points."""
-    fac = fac[..., :n]
-    cos, sin = trig = io[:12 * n].reshape(2, 3, 2, n)
-    planes = io[:48 * n].reshape(4, 3, 4 * n)
-    # overlapping windows of the planes: 1 and 2, then 0 and 1
-    by_u = sliding_window_view(planes.reshape(4, 12 * n), 8 * n, axis=1)[:, 4 * n::-4 * n]
-    state = io[:32 * n].reshape(2, 4, 4, n)
-    full = prod[224 * n:256 * n].view(complex).reshape(2, 2, 2, 2, n)
-    uf = prod[:256 * n].reshape(2, 4, 4, 8 * n)
-    terms = prod[:160 * n].reshape(2, 2, 4, 10, n)
-    p, q = terms[0], prod[160 * n:240 * n].reshape(2, 4, 10, n)
-    tril = prod[160 * n:180 * n].view(complex).reshape(10, n)
-    rho = prod[:32 * n].view(complex).reshape(16, n)
-    return _Views(tuple(fac), (fac[:, 0].real, _planes(fac[:, 2]), fac[:, 3].real),
-                  cos.reshape(6, n).T, sin.reshape(6, n).T,
-                  (cos[0], sin[0], trig[:, 1], cos[2], sin[2]),
-                  (planes[:, 1:], planes[:, 2], planes[:, 0]), by_u.transpose(1, 0, 2)[:, None],
-                  state, state.reshape(2, 2, 2, 2, 2, n).transpose(0, 1, 3, 2, 4, 5),
-                  full, _planes(full).reshape(2, 4, 4 * n).transpose(1, 0, 2), (uf, *uf),
-                  uf[0].reshape(2, 2, 4, 2, 2, 2, n).transpose(3, 0, 1, 2, 4, 5, 6),
-                  (*terms, *terms[1]), (p, q, *p, *q),
-                  tril, _planes(tril), (rho, rho.reshape(4, 4, n).transpose(2, 0, 1)))
-
-
 class _Workspace:
-    """Buffers for the kernel's intermediates, written in place.
+    """Buffers for the kernel's intermediates, for batches of up to n points.
 
-    A batch of P points uses the start of each flat buffer, P times the
-    size per point given below, and the first P points of the factor
-    buffer, so one workspace serves every batch up to its size;
-    ``views(P)`` gives the kernel's shaped views of them, made once per
-    batch size.  A buffer is reused once what it held is spent.
+    ``io`` holds 48 floats a point, ``prod`` 256 and ``fac``, the input
+    factors, (2, 4, n) complex.  A batch of P points uses the start of
+    ``io`` and ``prod`` and the first P points of ``fac``, so one workspace
+    serves every batch up to its size.  ``views(P)`` cuts the kernel's
+    ``_Views`` of them once per batch size; a buffer is reused once what it
+    held is spent.
     """
 
-    def __init__(self, io, prod, fac):
-        # 48 floats per point: the cos and sin of the inputs; then the
-        # planes -im, re and im of the input; then the output state
-        self.io = io
-        # 256 floats per point: the input as 16 complex at its end; then
-        # the products with U; then rho's terms in [0, 160 P) and a product
-        # of them in [160 P, 240 P); then rho as 16 complex over the terms
-        # and its lower triangle over that product
-        self.prod = prod
-        # (2, 4, N) complex input factors, zero where ``_factors`` says
-        self.fac = fac
+    def __init__(self, n):
+        self.io, self.prod = np.empty(48 * n), np.empty(256 * n)
+        self.fac = np.zeros((2, 4, n), dtype=complex)
         self._views = {}
 
-    def __iter__(self):
-        """The three buffers, io, prod and fac."""
-        return iter((self.io, self.prod, self.fac))
-
     def views(self, n):
-        """The kernel's ``_Views`` for a batch of n points."""
         if n not in self._views:
-            self._views[n] = _views(self.io, self.prod, self.fac, n)
+            self._views[n] = _Views(self, n)
         return self._views[n]
 
 
-def _workspace(n):
-    """A workspace for batches of up to n points."""
-    return _Workspace(np.empty(48 * n), np.empty(256 * n), np.zeros((2, 4, n), dtype=complex))
+class _Views:
+    """The kernel's shaped views of a workspace, for a batch of n points.
+
+    Each buffer's views are cut in the order the kernel fills them; a tuple
+    holds the operands of one step, in the order the step uses them.
+    """
+
+    def __init__(self, ws, n):
+        # fac, [side, (a, r), point]: each side's (4, n) factor, and the
+        # parts ``_factors`` writes: re of entry (0, 0), re and im of (1, 0),
+        # re of (1, 1)
+        fac = ws.fac[..., :n]
+        self.sides = tuple(fac)
+        self.fac_parts = (fac[:, 0].real, _planes(fac[:, 2]), fac[:, 3].real)
+        # io, first: the cos and sin of the inputs, [cos/sin, angle/phase/weight,
+        # side, point], and as (n, 6) arrays laid out as x is; the operands
+        # cos and sin of the angle, both of the phase, cos and sin of the weight
+        cos, sin = trig = ws.io[:12 * n].reshape(2, 3, 2, n)
+        self.cos_x, self.sin_x = cos.reshape(6, n).T, sin.reshape(6, n).T
+        self.trig = (cos[0], sin[0], trig[:, 1], cos[2], sin[2])
+        # io, then: the input's planes -im, re, im, [(a, b), plane, (r, t, point)],
+        # as the targets (re, im), im and -im; their windows of 8 n floats,
+        # (re, im) then (-im, re), as (2, 1, 4, 8 n)
+        planes = ws.io[:48 * n].reshape(4, 3, 4 * n)
+        self.planes = (planes[:, 1:], planes[:, 2], planes[:, 0])
+        by_u = sliding_window_view(planes.reshape(4, 12 * n), 8 * n, axis=1)[:, 4 * n::-4 * n]
+        self.by_u = by_u.transpose(1, 0, 2)[:, None]
+        # io, last: the output state, [re/im, (x, r), (y, t), point], also
+        # as [re/im, x, y, r, t, point]
+        self.state = ws.io[:32 * n].reshape(2, 4, 4, n)
+        self.out_xyrt = self.state.reshape(2, 2, 2, 2, 2, n).transpose(0, 1, 3, 2, 4, 5)
+        # prod, first: the complex input [a, b, r, t, point] at its end, and
+        # its planes as [(a, b), re/im, (r, t, point)]
+        self.full = ws.prod[224 * n:256 * n].view(complex).reshape(2, 2, 2, 2, n)
+        self.full_planes = _planes(self.full).reshape(2, 4, 4 * n).transpose(1, 0, 2)
+        # prod, then: U's re and im times by_u, (2, 4, 4, 8 n) as [., (x, y),
+        # (a, b), .], and each; their sum as [re/im, x, y, (a, b), r, t, point]
+        uf = ws.prod[:256 * n].reshape(2, 4, 4, 8 * n)
+        self.uf = (uf, *uf)
+        self.uf_xyrt = uf[0].reshape(2, 2, 4, 2, 2, 2, n).transpose(3, 0, 1, 2, 4, 5, 6)
+        # prod, then: rho's terms k and l, re and im, as [., m, (k, l) pair,
+        # point], then l's re and im; products p over k and q after the
+        # terms, then their planes
+        terms = ws.prod[:160 * n].reshape(2, 2, 4, 10, n)
+        self.terms = (*terms, *terms[1])
+        p, q = terms[0], ws.prod[160 * n:240 * n].reshape(2, 4, 10, n)
+        self.pq = (p, q, *p, *q)
+        # prod, last: rho's complex lower triangle over q, (10, n), and its
+        # planes; rho over the terms, (16, n), and its (n, 4, 4) matrices
+        self.tril = ws.prod[160 * n:180 * n].view(complex).reshape(10, n)
+        self.tril_planes = _planes(self.tril)
+        rho = ws.prod[:32 * n].view(complex).reshape(16, n)
+        self.rho = (rho, rho.reshape(4, 4, n).transpose(2, 0, 1))
 
 
 def _planes(z):
@@ -338,7 +319,7 @@ def _planes(z):
     return z.view(float).reshape(z.shape + (2,)).transpose((z.ndim,) + tuple(range(z.ndim)))
 
 
-def _batch_output(U, fa, fb, ws=None):
+def _batch_output(U, fa, fb, ws):
     """Output states for batched input factors, points last.
 
     Returns the real and imaginary parts, stacked: shape (2, 4, 4, P),
@@ -357,11 +338,11 @@ def _batch_output(U, fa, fb, ws=None):
     buffers at P = ``_CHUNK``, and one add forms each term:
     u_re re + (-(u_im im)) is u_re re - u_im im to the bit.  U is a
     C-contiguous complex array, read through a float view.  The
-    intermediates go to ``ws``, a workspace for at least P points (a fresh
-    one by default), and the result is a view into it.
+    intermediates go to ``ws``, a workspace for at least P points, and the
+    result is a view into it.
     """
     n = fa.shape[1]
-    v = (_workspace(n) if ws is None else ws).views(n)
+    v = ws.views(n)
     np.multiply(fa.reshape(2, 1, 2, 1, n), fb.reshape(1, 2, 1, 2, n), out=v.full)
     re_im, im, neg_im = v.planes
     np.copyto(re_im, v.full_planes)
@@ -376,7 +357,7 @@ def _batch_output(U, fa, fb, ws=None):
     return v.state
 
 
-def _batch_entropies(U, fa, fb, ws=None):
+def _batch_entropies(U, fa, fb, ws):
     """Entanglement across (A, R_A) : (B, R_B) of each batched output state.
 
     rho[k, l] = sum over m of out[m, k] conj(out[m, l]), summed from zero
@@ -384,10 +365,8 @@ def _batch_entropies(U, fa, fb, ws=None):
     that ``eigvalsh`` reads.  The intermediates go to ``ws`` as in
     ``_batch_output``.
     """
-    n = fa.shape[1]
-    ws = _workspace(n) if ws is None else ws
     state = _batch_output(U, fa, fb, ws)
-    v = ws.views(n)
+    v = ws.views(fa.shape[1])
     k_terms, l_terms, l_re, l_im = v.terms
     p, q, p_re, p_im, q_re, q_im = v.pq
     # out[:, k] and out[:, l], re and im; mode "raise" would buffer out
@@ -403,61 +382,50 @@ def _batch_entropies(U, fa, fb, ws=None):
     return entropy_bits(np.linalg.eigvalsh(matrices, UPLO="L"))
 
 
-def _pair_entropies(U, fa, fb, ws):
-    """``_batch_entropies`` of every pair of an A factor and a B factor.
-
-    ``fa`` and ``fb`` are (4, m) and (4, n) blocks of ``_factors``;
-    the result has shape (m, n).  The pairs go in chunks of ``_CHUNK``
-    through ``ws``, a workspace for ``_CHUNK`` points; each chunk gathers
-    its factors into the workspace's factor buffer, so no chunk allocates
-    the kernel's intermediates.
-    """
-    m, n = fa.shape[1], fb.shape[1]
-    vals = np.empty(m * n)
-    for lo in range(0, m * n, _CHUNK):
-        hi = min(lo + _CHUNK, m * n)
-        i, j = np.divmod(np.arange(lo, hi), n)
-        sa, sb = ws.views(hi - lo).sides
-        fa.take(i, axis=1, out=sa, mode="clip")
-        fb.take(j, axis=1, out=sb, mode="clip")
-        vals[lo:hi] = _batch_entropies(U, sa, sb, ws)
-    return vals.reshape(m, n)
-
-
-def _grid_entropies(U, ab, mn, ph, ws=None):
+def _grid_entropies(U, ab, mn, ph):
     """Grid-stage entropies and the number of input pairs the kernel scored.
 
     The entropies are flat, in ``np.meshgrid`` order of the axes
     (alpha, beta, theta, xi, mu, nu) = (ab, ab, ph, ph, mn, mn).  Both
     sides take the same (angle, phase, weight) triples, so the grid is
     every pair of one side's input states, and each distinct pair is
-    scored once, through ``ws`` (a fresh ``_CHUNK``-point workspace by
-    default).  sin(0.0) = 0.0, so every triple with angle 0 gives the
+    scored once.  sin(0.0) = 0.0, so every triple with angle 0 gives the
     state (1, 0, 0, 0) up to the sign of zeros; the kernel's sums start
     from +0.0 and leave no trace of those signs, so these triples share
-    one state and every grid value keeps its bits.
+    one state and every grid value keeps its bits.  The states are built
+    in a workspace of their size; the pairs go in chunks of ``_CHUNK``
+    through a workspace of that size, each chunk gathering its factors
+    into the factor buffer, and that workspace is freed before the grid
+    values are gathered from the table of pairs.
     """
     angle, phase, weight = (g.ravel() for g in np.meshgrid(ab, ph, mn, indexing="ij"))
     # the first ph.size * mn.size triples have angle ab[0] = 0; keep the last of them
     dup = ph.size * mn.size - 1
+    n = angle.size - dup
     # both sides of the rows (angle, angle, phase, phase, weight, weight)
-    states = _factors(np.repeat(np.array([angle[dup:], phase[dup:], weight[dup:]]).T, 2, 1))[0]
+    states = _factors(np.repeat(np.array([angle[dup:], phase[dup:], weight[dup:]]).T, 2, 1),
+                      _Workspace(n))[0]
     side = np.maximum(np.arange(angle.size) - dup, 0).reshape(ab.size, ph.size, mn.size)
-    table = _pair_entropies(U, states, states, _workspace(_CHUNK) if ws is None else ws)
-    vals = table[side[:, None, :, None, :, None], side[None, :, None, :, None, :]]
+    ws, table = _Workspace(_CHUNK), np.empty(n * n)
+    for lo in range(0, n * n, _CHUNK):
+        i, j = np.divmod(np.arange(lo, min(lo + _CHUNK, n * n)), n)
+        sa, sb = ws.views(i.size).sides
+        states.take(i, axis=1, out=sa, mode="clip")
+        states.take(j, axis=1, out=sb, mode="clip")
+        table[lo:lo + i.size] = _batch_entropies(U, sa, sb, ws)
+    del ws, sa, sb
+    vals = table.reshape(n, n)[side[:, None, :, None, :, None], side[None, :, None, :, None, :]]
     return vals.ravel(), table.size
 
 
-def _entropies(U, x, ws=None):
+def _entropies(U, x, ws):
     """Output entanglement at each row of an (M, 6) array of angles.
 
     The rows go in chunks of at most ``_CHUNK`` through ``ws``, a workspace
-    for at least min(M, ``_CHUNK``) points (an exact-size one by default).
+    for at least min(M, ``_CHUNK``) points.
     """
-    m = len(x)
-    ws = _workspace(min(m, _CHUNK)) if ws is None else ws
     vals = [_batch_entropies(U, *_factors(x[lo:lo + _CHUNK], ws), ws)
-            for lo in range(0, m, _CHUNK)]
+            for lo in range(0, len(x), _CHUNK)]
     return vals[0] if len(vals) == 1 else np.concatenate(vals)
 
 
@@ -467,7 +435,7 @@ def entanglement_of_product_input(U, alpha, beta, theta=0.0, xi=0.0,
     angles = np.array([[alpha, beta, theta, xi, mu, nu]], dtype=float)
     if not np.isfinite(angles).all():
         raise DomainError(f"input angles must be finite, got {angles[0].tolist()}")
-    return float(_entropies(np.ascontiguousarray(check_unitary(U)), angles)[0])
+    return float(_entropies(np.ascontiguousarray(check_unitary(U)), angles, _Workspace(1))[0])
 
 
 def _grid_axes(cfg: SearchConfig):
@@ -545,11 +513,12 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
     in that order, each only if strictly better than the incumbent, and
     one more search polishes the winner.  Every start follows scipy's
     Nelder-Mead path, so the outcome is the one a start-by-start scipy
-    search gives, to the last bit.  Each stage writes the kernel's
-    intermediates into its own workspace of ``_CHUNK`` points; a larger
-    batch, such as the first simplices of many starts, goes through it in
-    chunks.  The grid's workspace and values are freed before the
-    refinement, which keeps only their count and the 8 best cells.
+    search gives, to the last bit.  The grid stage and the refinement
+    each write the kernel's intermediates into a workspace of ``_CHUNK``
+    points of their own; a larger batch, such as the first simplices of
+    many starts, goes through it in chunks.  The grid's workspace is freed
+    before its values are gathered, and the values before the refinement,
+    which keeps only their count and the 8 best cells.
     """
     U = np.ascontiguousarray(check_unitary(U))
     t_grid = perf_counter()
@@ -565,7 +534,7 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
     cells = np.unravel_index(order, [a.size for a in axes])
     starts = np.vstack([np.stack([a[c] for a, c in zip(axes, cells)], axis=1),
                         _LOWS + (_HIGHS - _LOWS) * _halton(cfg.multi_starts, cfg.seed)])
-    ws = _workspace(_CHUNK)
+    ws = _Workspace(_CHUNK)
 
     refine_calls = 0
 

@@ -234,20 +234,18 @@ def test_complex_exponential_is_cos_plus_i_sin(phases):
 @pytest.mark.parametrize("points", [1, 7, 40, 280])
 def test_batch_entropies_in_a_strided_view_of_a_full_workspace(points):
     # a batch of `points` points in a 512-point workspace that first held
-    # another batch, so no stale entry may leak.  A buffer with a 512-long
-    # points axis is cut to the strided view of its first `points` entries;
-    # a flat buffer is passed whole, and the kernel takes its start
+    # a 512-point batch, so no stale entry may leak: the kernel cuts the
+    # strided view of the first `points` factors and the start of each
+    # flat buffer
     rng = np.random.default_rng(points)
     U = random_unitary(rng, 4)
     box = oracle._HIGHS - oracle._LOWS
-    full = oracle._workspace(512)
-    oracle._batch_entropies(U, *oracle._factors(oracle._LOWS + box * rng.random((512, 6))),
+    full = oracle._Workspace(512)
+    oracle._batch_entropies(U, *oracle._factors(oracle._LOWS + box * rng.random((512, 6)), full),
                             full)
-    view = type(full)(*(a[tuple(slice(points) if size == 512 else slice(None)
-                                for size in a.shape)] for a in full))
     x = oracle._LOWS + box * rng.random((points, 6))
-    got = oracle._batch_entropies(U, *oracle._factors(x), view)
-    assert same_bits(got, oracle._batch_entropies(U, *oracle._factors(x)))
+    got = oracle._batch_entropies(U, *oracle._factors(x, full), full)
+    assert same_bits(got, batch_entropies(U, x))
     assert same_bits(got, reference_entropies(U, *np.ascontiguousarray(x.T)))
 
 
@@ -265,9 +263,11 @@ def test_diagnostics_split_the_stages():
 
 def test_default_call_peak_traced_memory():
     # measured: 2.2 MiB, most of it the grid's 512-point workspace (1.25
-    # MiB) and the 289 x 289 pair table; the grid values and their order
-    # are gone before the refinement's workspace is made.  The six-angle
-    # grid columns took 7.5 MiB and the 8,192-point chunk loop 24.2 MiB.
+    # MiB) and the 289 x 289 pair table; the workspace is freed before the
+    # 97,344 grid values are gathered (1.55 MiB then), and the values and
+    # their order before the refinement's workspace is made.  Holding the
+    # workspace over the gather took 2.8 MiB, the six-angle grid columns
+    # 7.5 MiB and the 8,192-point chunk loop 24.2 MiB.
     U = gate_matrix(0.6, 0.3)
     tracemalloc.start()
     try:
@@ -394,11 +394,11 @@ class TestLockstepNelderMead:
                           [0.97 * pi / 2, 1.53], [pi / 2, pi / 2], [0.0, 0.0]])
 
     def six_angle_objective(self, x):
-        return -oracle._entropies(self.U, x)
+        return -entropies(self.U, x)
 
     def pair_objective(self, x):
         tail = np.broadcast_to((0.0, 0.0, pi / 2, pi / 2), (len(x), 4))
-        return -oracle._entropies(self.U, np.hstack([x, tail]))
+        return -entropies(self.U, np.hstack([x, tail]))
 
     def compare(self, batched, scalar, starts, lb, ub, maxiter, xatol, fatol):
         from scipy.optimize import minimize as scipy_minimize
@@ -446,9 +446,9 @@ def test_batched_entropies_match_point_by_point():
     rng = np.random.default_rng(31)
     U = random_unitary(rng, 4)
     x = oracle._LOWS + (oracle._HIGHS - oracle._LOWS) * rng.random((300, 6))
-    batch = oracle._entropies(U, x)
+    batch = entropies(U, x)
     for k in (0, 1, 7, 150, 299):
-        assert oracle._entropies(U, x[:k + 1])[k] == batch[k]
+        assert entropies(U, x[:k + 1])[k] == batch[k]
     assert all(entanglement_of_product_input(U, *v) == b for v, b in zip(x, batch))
 
 
@@ -590,6 +590,17 @@ def same_bits(a, b):
         np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
 
 
+def entropies(U, x):
+    """``oracle._entropies`` of the rows of x, through a workspace of the batch's size."""
+    return oracle._entropies(U, x, oracle._Workspace(min(len(x), oracle._CHUNK)))
+
+
+def batch_entropies(U, x):
+    """``oracle._batch_entropies`` of the rows of x, in one workspace of their size."""
+    ws = oracle._Workspace(len(x))
+    return oracle._batch_entropies(U, *oracle._factors(x, ws), ws)
+
+
 def kernel_gates():
     rng = np.random.default_rng(1804)
     return {"swap": gate_matrix(pi / 4, pi / 4),
@@ -605,8 +616,7 @@ def test_grid_kernel_matches_einsum_reference(name):
     n_grid = flat[0].size
     for lo in range(0, n_grid, 8192):
         cols = [f[lo:lo + 8192] for f in flat]
-        factors = oracle._factors(np.stack(cols, axis=1))
-        assert same_bits(oracle._batch_entropies(U, *factors), reference_entropies(U, *cols))
+        assert same_bits(batch_entropies(U, np.stack(cols, axis=1)), reference_entropies(U, *cols))
     for i in range(0, n_grid, 977):
         point = [float(f[i]) for f in flat]
         amps = output_state(U, ProductInputParams(*point)).amplitudes
@@ -619,9 +629,8 @@ def test_batch_kernel_matches_einsum_reference(rows):
     U = random_unitary(rng, 4)
     x = oracle._LOWS + (oracle._HIGHS - oracle._LOWS) * rng.random((rows, 6))
     cols = np.ascontiguousarray(x.T)
-    assert same_bits(oracle._entropies(U, x), reference_entropies(U, *cols))
-    assert same_bits(oracle._batch_entropies(U, *oracle._factors(x)),
-                     reference_entropies(U, *cols))
+    assert same_bits(entropies(U, x), reference_entropies(U, *cols))
+    assert same_bits(batch_entropies(U, x), reference_entropies(U, *cols))
 
 
 # SHA-256 of the grid-stage entropies of brute_force_power, recorded with
@@ -665,5 +674,5 @@ def test_zero_angle_inputs_give_one_bit_pattern(gate, config):
     others = np.tile(triples, (len(zero), 1))
     for a, b in ((variants, others), (others, variants)):
         x = np.column_stack([a[:, 0], b[:, 0], a[:, 1], b[:, 1], a[:, 2], b[:, 2]])
-        vals = oracle._entropies(U, x).reshape(len(zero), len(triples))
+        vals = entropies(U, x).reshape(len(zero), len(triples))
         assert all(same_bits(v, vals[0]) for v in vals)
