@@ -94,7 +94,7 @@ class PauliCoefficients:
 
     def __post_init__(self):
         norm = sum(abs(c) ** 2 for c in self.as_array())
-        if abs(norm - 1.0) > COEFF_NORM_TOL:
+        if not abs(norm - 1.0) <= COEFF_NORM_TOL:
             raise DomainError(f"sum |c_j|^2 = {norm!r}, not 1")
 
     def as_array(self) -> np.ndarray:

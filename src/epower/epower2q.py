@@ -83,11 +83,11 @@ class Spectrum:
         if lam.min() < -SPECTRUM_CLAMP:
             raise DomainError(f"spectrum entry {lam.min():.3e} below clamp")
         lam = np.clip(lam, 0.0, None)
-        if abs(lam.sum() - 1.0) > 1e-9:
+        if not abs(lam.sum() - 1.0) <= 1e-9:
             raise DomainError(f"spectrum sums to {lam.sum()!r}, not 1")
         if lam[0] > lam[1] + 1e-12 or lam[2] > lam[3] + 1e-12:
             raise DomainError("spectrum pairs out of order")
-        if abs(self.t1 + self.t2 - 1.0) > 1e-10:
+        if not abs(self.t1 + self.t2 - 1.0) <= 1e-10:
             raise DomainError(f"block traces sum to {self.t1 + self.t2!r}, not 1")
         lam.flags.writeable = False
         object.__setattr__(self, "lam", lam)

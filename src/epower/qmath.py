@@ -166,7 +166,7 @@ class StateVector:
                 f"dims {dims} imply length {int(np.prod(dims))}, got {amps.size}"
             )
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:
             raise DomainError(f"squared norm is {norm2!r}, not 1")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)

@@ -32,6 +32,6 @@ class EntanglingPowerResult:
         if self.method not in METHODS:
             raise DomainError(f"unknown method tag {self.method!r}")
         v = float(self.value)
-        if v < -1e-9 or v > 2.0 + 1e-9:
+        if not -1e-9 <= v <= 2.0 + 1e-9:
             raise DomainError(f"entangling power {v!r} outside [0, 2]")
         object.__setattr__(self, "value", min(max(v, 0.0), 2.0))

@@ -82,7 +82,7 @@ class SimplexWeights:
         arr = np.asarray(self.c, dtype=float)
         if np.any(arr < -NONNEG_TOL):
             raise DomainError(f"weight {arr.min():.3e} is negative")
-        if abs(arr.sum() - 1.0) > 1e-12:
+        if not abs(arr.sum() - 1.0) <= 1e-12:
             raise DomainError(f"weights sum to {arr.sum()!r}, not 1")
         object.__setattr__(self, "c", tuple(np.clip(arr, 0.0, None)))
 

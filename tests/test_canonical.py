@@ -75,6 +75,10 @@ class TestCoefficients:
         with pytest.raises(DomainError):
             PauliCoefficients(1.0, 1.0, 0.0, 0.0)
 
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            PauliCoefficients(float("nan"), 0.0, 0.0, 0.0)
+
 
 class TestAssemble:
     def test_identity(self):

@@ -112,6 +112,11 @@ class TestSpectrum:
         with pytest.raises(DomainError):
             Spectrum(np.array([0.3, 0.3, 0.3, 0.3]), 0.6, 0.6)
 
+    @pytest.mark.parametrize("lam, t", [([float("nan")] * 4, 0.5), ([0.25] * 4, float("nan"))])
+    def test_nan_rejection(self, lam, t):
+        with pytest.raises(DomainError):
+            Spectrum(np.array(lam), t, t)
+
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 CLOSED_FORM_ENTRY_POINTS = {

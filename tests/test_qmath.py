@@ -311,6 +311,10 @@ class TestStateVector:
         with pytest.raises(DomainError):
             StateVector(bell_pair(), (2, 3))
 
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError):
+            StateVector(np.array([float("nan"), 0.0]), (2,))
+
 
 class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):

@@ -80,6 +80,12 @@ class TestYValue:
         assert -1e-15 <= direct <= 0.25 + 1e-12
 
 
+@pytest.mark.parametrize("c", [(-0.5, 1.5), (0.5, 0.6), (float("nan"), 1.0)])
+def test_simplex_weights_reject(c):
+    with pytest.raises(DomainError):
+        SimplexWeights(c)
+
+
 class TestMMatrix:
     def test_opposed_pair(self):
         np.testing.assert_allclose(
