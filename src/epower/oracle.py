@@ -413,7 +413,7 @@ def _grid_entropies(U, ab, mn, ph):
         states.take(i, axis=1, out=sa, mode="clip")
         states.take(j, axis=1, out=sb, mode="clip")
         table[lo:lo + i.size] = _batch_entropies(U, sa, sb, ws)
-    del ws, sa, sb
+    del ws, sa, sb  # held over the gather, they would raise the peak memory
     vals = table.reshape(n, n)[side[:, None, :, None, :, None], side[None, :, None, :, None, :]]
     return vals.ravel(), table.size
 
