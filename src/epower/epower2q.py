@@ -1,7 +1,8 @@
 """Entangling power of two-qubit gates whose last two coefficients agree.
 
 For such gates the critical inputs reduce to pairs of two-qubit states
-cos(a)|00> + sin(a)|11|, the output spectrum on one side has a closed
+cos(a)|00> + sin(a)|11>, the two-angle face of the oracle's six-angle
+``ProductInputParams``; the output spectrum on one side has a closed
 form, and the maximum lies on the line alpha + beta = pi/2.  This module
 implements the closed-form spectrum, the boundary analysis, the line
 maximization, analytic values for the two solvable families, derivative
@@ -29,7 +30,6 @@ from .schmidt2 import PhaseGateSpec, entangling_power_phase_gate
 
 __all__ = [
     "Spectrum",
-    "ProductInputParams",
     "reduced_density_closed_form",
     "spectrum",
     "entanglement_at",
@@ -94,36 +94,6 @@ class Spectrum:
 
     def entropy(self) -> float:
         return shannon_entropy(self.lam)
-
-
-@dataclass(frozen=True)
-class ProductInputParams:
-    """Six angles of an ancilla-assisted product input state.
-
-    alpha, beta in [0, pi/2]; theta, xi in [0, 2pi); mu, nu in (0, pi/2].
-    """
-
-    alpha: float
-    beta: float
-    theta: float = 0.0
-    xi: float = 0.0
-    mu: float = pi / 2
-    nu: float = pi / 2
-
-    def __post_init__(self):
-        tol = 1e-12
-        for name in ("alpha", "beta"):
-            v = getattr(self, name)
-            if not -tol <= v <= pi / 2 + tol:
-                raise DomainError(f"{name}={v!r} outside [0, pi/2]")
-        for name in ("theta", "xi"):
-            v = getattr(self, name)
-            if not -tol <= v < 2 * pi:
-                raise DomainError(f"{name}={v!r} outside [0, 2pi)")
-        for name in ("mu", "nu"):
-            v = getattr(self, name)
-            if not 0.0 < v <= pi / 2 + tol:
-                raise DomainError(f"{name}={v!r} outside (0, pi/2]")
 
 
 def _constants(c: PauliCoefficients):

@@ -13,7 +13,7 @@ the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from math import ceil, isfinite, log2, pi
 from numbers import Integral
 from time import perf_counter
@@ -22,11 +22,11 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .epower2q import ProductInputParams
 from .qmath import DomainError, StateVector, check_unitary, entropy_bits
 from .results import EntanglingPowerResult
 
 __all__ = [
+    "ProductInputParams",
     "SearchConfig",
     "output_state",
     "entanglement_of_product_input",
@@ -70,6 +70,33 @@ class SearchConfig:
             raise DomainError("search configuration values must be positive")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
+
+
+@dataclass(frozen=True)
+class ProductInputParams:
+    """Six angles of an ancilla-assisted product input state.
+
+    Side A's input on (A, R_A) is cos(alpha)|00> + sin(alpha) e^{i theta}
+    (cos(mu)|10> + sin(mu)|11>), side B's the same in (beta, xi, nu).  The
+    ranges are the search box ``_LOWS``, ``_HIGHS``, closed and with 1e-12
+    of slack (alpha, beta, mu, nu in [0, pi/2]; theta, xi in [0, 2pi]), so
+    the angles of every ``brute_force_power`` result construct a record.
+    """
+
+    alpha: float
+    beta: float
+    theta: float = 0.0
+    xi: float = 0.0
+    mu: float = pi / 2
+    nu: float = pi / 2
+
+    def __post_init__(self):
+        for f, lo, hi in zip(fields(self), _LOWS.tolist(), _HIGHS.tolist()):
+            v = float(getattr(self, f.name))
+            if not isfinite(v):
+                raise DomainError(f"{f.name}={v!r} must be finite")
+            if not lo - 1e-12 <= v <= hi + 1e-12:
+                raise DomainError(f"{f.name}={v!r} outside [{lo!r}, {hi!r}]")
 
 
 class LockstepResult(NamedTuple):
@@ -125,8 +152,7 @@ def minimize(fun, x0, lb, ub, maxiter, xatol, fatol) -> LockstepResult:
     rows, s, f = np.arange(k), sim, fsim  # the starts still running and their simplices
     success = np.zeros(k, dtype=bool)
 
-    iterations = 1
-    while iterations < maxiter:
+    for _ in range(1, maxiter):  # scipy counts the first simplex as iteration 1
         # f is sorted, so its largest |f[0] - f[j]| is f[-1] - f[0]; the
         # x test runs only where the f test passed
         done = (f[-1] - f[0] <= fatol).nonzero()[0]
@@ -180,7 +206,6 @@ def minimize(fun, x0, lb, ub, maxiter, xatol, fatol) -> LockstepResult:
             # passed start by start, the order the calls have always had
             f[1:, shrink] = fun(moved.transpose(1, 0, 2).reshape(-1, n)).reshape(-1, n).T
             nfev += shrink.size * n
-        iterations += 1
         s, f = _sort_vertices(s, f, at)
 
     sim[:, rows], fsim[:, rows] = s, f
@@ -429,13 +454,12 @@ def _entropies(U, x, ws):
     return vals[0] if len(vals) == 1 else np.concatenate(vals)
 
 
-def entanglement_of_product_input(U, alpha, beta, theta=0.0, xi=0.0,
-                                  mu=pi / 2, nu=pi / 2) -> float:
-    """Output entanglement across (A, R_A) : (B, R_B) for one input."""
-    angles = np.array([[alpha, beta, theta, xi, mu, nu]], dtype=float)
-    if not np.isfinite(angles).all():
-        raise DomainError(f"input angles must be finite, got {angles[0].tolist()}")
-    return float(_entropies(np.ascontiguousarray(check_unitary(U)), angles, _Workspace(1))[0])
+def entanglement_of_product_input(U, *angles, **named) -> float:
+    """Output entanglement across (A, R_A) : (B, R_B) for one input, given
+    by the angles of a ``ProductInputParams``, in order or by name."""
+    p = ProductInputParams(*angles, **named)
+    x = np.array([[getattr(p, f.name) for f in fields(p)]], dtype=float)
+    return float(_entropies(np.ascontiguousarray(check_unitary(U)), x, _Workspace(1))[0])
 
 
 def _grid_axes(cfg: SearchConfig):
@@ -496,14 +520,10 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
 
     The grid takes ``cfg.grid_points_per_axis`` angles in [0, pi/2], four
     phases and max(4, g // 2) weights per side, in every combination.
-    Both sides take the same (angle, phase, weight) triples, so the grid
-    is scored as every pair of one side's input states: 312 triples per
-    side on the default grid.  At angle 0 all triples give the state
-    (1, 0, 0, 0), apart from the sign of zeros, since sin(0.0) = 0.0;
-    the kernel's sums start from +0.0, so those signs leave no trace and
-    the triples share one state.  That leaves 289 states per side and
-    83,521 distinct pairs for the 97,344 grid points, each with the bits
-    of its own six-angle evaluation.
+    ``_grid_entropies`` scores it as every pair of one side's input states,
+    each pair with the bits of its own six-angle evaluation: on the default
+    grid, 289 distinct states per side (the 24 triples at angle 0 share
+    one) and 83,521 pairs for the 97,344 grid points.
 
     The 8 best grid cells and ``cfg.multi_starts`` scrambled Halton points
     are refined together by the lockstep ``minimize``.  The Halton points
@@ -534,9 +554,7 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
     cells = np.unravel_index(order, [a.size for a in axes])
     starts = np.vstack([np.stack([a[c] for a, c in zip(axes, cells)], axis=1),
                         _LOWS + (_HIGHS - _LOWS) * _halton(cfg.multi_starts, cfg.seed)])
-    ws = _Workspace(_CHUNK)
-
-    refine_calls = 0
+    ws, refine_calls = _Workspace(_CHUNK), 0
 
     def objective(x):
         nonlocal refine_calls

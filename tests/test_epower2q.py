@@ -13,7 +13,6 @@ from epower.canonical import (
 )
 import epower.epower2q as epower2q
 from epower.epower2q import (
-    ProductInputParams,
     Spectrum,
     conjecture_gap,
     e2_derivative,
@@ -32,7 +31,7 @@ from epower.epower2q import (
     reduced_density_closed_form,
     spectrum,
 )
-from epower.oracle import output_state
+from epower.oracle import ProductInputParams, output_state
 from epower.qmath import (
     DomainError,
     entropy_bits,
@@ -502,7 +501,7 @@ def test_product_input_validation():
     with pytest.raises(DomainError):
         ProductInputParams(alpha=2.0, beta=0.0)
     with pytest.raises(DomainError):
-        ProductInputParams(alpha=0.1, beta=0.1, mu=0.0)
+        ProductInputParams(alpha=0.1, beta=0.1, mu=-1e-6)
     with pytest.raises(DomainError):
         ProductInputParams(alpha=0.1, beta=0.1, theta=7.0)
 

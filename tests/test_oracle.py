@@ -15,13 +15,13 @@ from math import pi
 import epower
 from epower.canonical import CanonicalParams, assemble_unitary, coefficients_from_xyz
 from epower.epower2q import (
-    ProductInputParams,
     entangling_power_c2eqc3,
     line_profile_values,
     reduced_density_closed_form,
 )
 from epower import oracle
 from epower.oracle import (
+    ProductInputParams,
     SearchConfig,
     brute_force_power,
     entanglement_of_product_input,
@@ -334,6 +334,44 @@ def test_product_input_rejects_non_finite_angle(position, bad):
         warnings.simplefilter("error")  # fails before any numpy warning
         with pytest.raises(DomainError, match="finite"):
             entanglement_of_product_input(gate_matrix(0.6, 0.3), *angles)
+
+
+# chamber angles (x, y, z) whose oracle maximizer lies on a closed face of
+# the search box, with the config, the angle on the face and its value
+BOX_FACE_GATES = [
+    ((0.02802322541829137, 0.01442884547582272, 0.0067268146993160905), "default", "mu", 0.0),
+    ((0.15111229051979438, 0.10457455889972594, 0.10457455889972594), "default", "mu", 0.0),
+    ((0.3161214241014658, 0.030570235890145344, 0.0295867318216621), "default", "mu", 0.0),
+    ((0.5825855397195878, 0.053304016457624705, 0.02884513916059428), "light", "xi", 2 * pi),
+]
+
+
+@pytest.mark.parametrize("xyz, config, face, bound", BOX_FACE_GATES)
+def test_oracle_angles_construct_a_product_input(xyz, config, face, bound):
+    U = assemble_unitary(coefficients_from_xyz(CanonicalParams(*xyz)))
+    res = brute_force_power(U, {"default": SearchConfig(), "light": LIGHT}[config])
+    angles = res.diagnostics["angles"]
+    params = ProductInputParams(*angles)
+    assert getattr(params, face) == bound
+    assert entanglement_of_product_input(U, *angles) == res.value
+    rho = partial_trace(output_state(U, params), [0, 1])
+    assert abs(von_neumann_entropy(rho) - res.value) <= 1e-12
+
+
+def test_product_input_ranges_are_the_search_box():
+    U = gate_matrix(0.6, 0.3)
+    for corner in (oracle._LOWS, oracle._HIGHS):
+        assert entanglement_of_product_input(U, *corner) >= 0.0
+    ProductInputParams(alpha=0.1, beta=0.1, mu=0.0)
+    ProductInputParams(alpha=0.1, beta=0.1, xi=2 * pi)
+    for name, bad in (("mu", -1e-6), ("xi", 2 * pi + 1e-6)):
+        with pytest.raises(DomainError, match=f"{name}="):
+            ProductInputParams(alpha=0.1, beta=0.1, **{name: bad})
+        with pytest.raises(DomainError, match=f"{name}="):
+            entanglement_of_product_input(U, 0.1, 0.1, **{name: bad})
+    # theta = 7 lies outside [0, 2pi]; only non-finite angles were refused before
+    with pytest.raises(DomainError, match="theta="):
+        entanglement_of_product_input(U, 0.1, 0.2, 7.0)
 
 
 def scipy_halton(n, seed):

@@ -8,6 +8,9 @@ a name they use fails here instead of in a benchmark run.
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ import epower.cli  # noqa: F401  (the benchmark calls ep.cli.main)
 
 MODULES = ("canonical", "epower2q", "oracle", "qmath", "results", "schmidt2")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(epower.__file__).resolve().parent
 
 
 def top_level_names(module):
@@ -47,14 +51,31 @@ def test_package_exports_only_the_module_lists():
     assert exported == set(declared)
 
 
-def test_traced_names_resolve():
+def traced_table():
+    """The benchmark tracer's ``TRACED`` table: layer -> traced names."""
     tree = ast.parse((PERFBENCH / "tracer.py").read_text())
-    traced = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
-    missing = [f"{mod}.{name}" for mod, names in traced.items() for name in names
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+
+
+def test_traced_names_resolve():
+    missing = [f"{mod}.{name}" for mod, names in traced_table().items() for name in names
                if not hasattr(importlib.import_module(f"epower.{mod}"), name)]
     assert not missing
+
+
+def test_cli_import_loads_every_traced_layer():
+    """The tracer reads ``sys.modules["epower.<layer>"]`` right after
+    ``import epower.cli``, so a traced layer imported lazily would break
+    every traced run; ``epower.verify``, which only ``verify`` runs, stays
+    out of a one-shot process."""
+    code = "import sys, epower.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert [f"epower.{layer}" for layer in traced_table() if f"epower.{layer}" not in loaded] == []
+    assert "epower.verify" not in loaded
 
 
 @pytest.mark.parametrize("filename", ["ops.py", "worker.py"])
@@ -65,9 +86,6 @@ def test_benchmark_calls_resolve(filename):
             and node.value.id == "ep"}
     assert used
     assert not [name for name in used if not hasattr(epower, name)]
-
-
-SRC = Path(epower.__file__).resolve().parent
 
 
 def test_every_private_helper_has_a_caller():
