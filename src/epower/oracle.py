@@ -554,7 +554,8 @@ def brute_force_power(U: np.ndarray, cfg: SearchConfig = SearchConfig()) -> Enta
     cells = np.unravel_index(order, [a.size for a in axes])
     starts = np.vstack([np.stack([a[c] for a, c in zip(axes, cells)], axis=1),
                         _LOWS + (_HIGHS - _LOWS) * _halton(cfg.multi_starts, cfg.seed)])
-    ws, refine_calls = _Workspace(_CHUNK), 0
+    ws = _Workspace(_CHUNK)
+    refine_calls = 0
 
     def objective(x):
         nonlocal refine_calls
