@@ -674,3 +674,40 @@ def test_golden_search_trace_digest(monkeypatch):
     assert len(gates) == 200
     assert len(lines) == 36 * len(gates)
     assert _digest(lines) == GOLDEN_TRACE_DIGEST
+
+
+def _rounding_edge_points():
+    """Seeded rank-4 chamber points at two rounding edges of the solver:
+    y within four ulps of pi/4 - x, where (a2 - b) / (k + k2) can round
+    below -1 on the balanced branch, and x at or just below pi/4 with y in
+    [1e-10, 1e-6], where the line maximum can round to exactly 1.0."""
+    rng = np.random.default_rng(2901)
+    points = []
+    for x in rng.uniform(pi / 8 + 1e-3, pi / 4, 150):
+        y0 = pi / 4 - x
+        points += [(x, y0 + k * np.spacing(y0)) for k in range(-4, 5)]
+    for y in np.geomspace(1e-10, 1e-6, 40):
+        points += [(xx, float(y)) for xx in (pi / 4, float(np.nextafter(pi / 4, 0.0)),
+                                            pi / 4 - 1e-12, pi / 4 - 1e-9)]
+    return points
+
+
+# SHA-256 of the reprs below, recorded with the balanced beta behind its
+# own range checks and each line-end tag written at both of its sites
+EDGE_SOLVER_DIGEST = "430149c80d4e32f60247aa13a32251579d992e63f07eb04f607e0c998ad55bba"
+
+
+def test_solver_rounding_edge_digest():
+    lines, below, exact_one = [], 0, 0
+    for x, y in _rounding_edge_points():
+        r = entangling_power_c2eqc3(x, y)
+        d = r.diagnostics
+        if r.method != "rank2_dispatch" and d["branch"] == "cos(2x+2y)<=0":
+            b, a2, k, k2, _, _ = epower2q._constants(gate(x, y))
+            below += (a2 - b) / (k + k2) < -1.0
+            exact_one += d["line_max"] == 1.0
+        lines.append(repr((x, y, r.value, r.method, r.critical, r.critical_alpha,
+                           r.critical_beta, d.get("branch"), d.get("line_max"),
+                           d.get("line_argmax"), d.get("edge_values"))))
+    assert below >= 5 and exact_one >= 5
+    assert _digest(lines) == EDGE_SOLVER_DIGEST

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -379,3 +380,39 @@ class TestLargeN:
 def test_phase_gate_matrix_unitary():
     v = phase_gate_matrix(PhaseGateSpec((0.0, 1.0, 2.5)))
     assert np.abs(v @ v.conj().T - np.eye(6)).max() <= 1e-12
+
+
+def _guard_phase_lists():
+    """Seeded phase lists at the solver's ties: near-antipodal triples,
+    triples with coincident or nearly coincident phases, and n = 4..12
+    lists drawn with repetition from a few phases, some antipodal."""
+    rng = np.random.default_rng(2902)
+    lists = [near_antipodal_triple(rng) for _ in range(150)]
+    for _ in range(100):
+        a, b = rng.uniform(-7.0, 7.0, 2)
+        d = rng.choice([0.0, 1e-15, 1e-12, 1e-9, 1e-6])
+        th = [a, a + d, b]
+        rng.shuffle(th)
+        lists.append(tuple(th))
+    for n in range(4, 13):
+        for _ in range(20):
+            pool = rng.uniform(-7.0, 7.0, int(rng.integers(1, 4)))
+            pool = np.concatenate([pool, pool[:1] + pi + rng.choice([0.0, 1e-12, -1e-9])])
+            lists.append(tuple(float(t) for t in rng.choice(pool, n)))
+    return lists
+
+
+# SHA-256 of the reprs below, recorded with the critical tag and the
+# diagnostics built in each of the solver's four result branches
+PHASE_GUARD_DIGEST = "33881829df19f2362333722c44329f186ffb960690d80bfbd26dcc5a112548c4"
+
+
+def test_phase_gate_tie_panel_digest():
+    lines, cases = [], set()
+    for thetas in _guard_phase_lists():
+        r = entangling_power_phase_gate(PhaseGateSpec(thetas))
+        cases.add((len(thetas) == 3, r.diagnostics["case"]))
+        lines.append(repr((thetas, r.value, r.method, r.critical, r.diagnostics)))
+    assert cases == {(True, "interior"), (True, "pair"),
+                     (False, "certificate"), (False, "pair")}
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PHASE_GUARD_DIGEST
