@@ -59,6 +59,10 @@ TIE_TOL = 1e-9
 # rounding slack on the line parameter's range [0, pi/4]
 ALPHA_SLACK = 1e-12
 CONJECTURE_GRID_N = 4001
+# (alpha, beta, critical tag) of the line ends alpha = pi/4 and alpha = 0,
+# in the solver's tie order
+_LINE_ENDS = ((pi / 4, pi / 4, "maximally entangled (alpha=pi/4)"),
+              (0.0, pi / 2, "product (alpha=0 line edge)"))
 
 _LIMIT_NOTE = (
     "d/dy limits at the endpoints: 2|c|^2/ln2 at y=+1, "
@@ -278,17 +282,6 @@ def entanglement_grid(c: PauliCoefficients, alphas, betas) -> np.ndarray:
     return entropy_bits(lam)
 
 
-def _balanced_beta(c: PauliCoefficients) -> float:
-    """Beta at alpha=0 where the two block traces both equal 1/2, if any."""
-    b, a2, k, k2, l1, l2 = _constants(c)
-    if k <= 0:
-        return pi / 4
-    arg = (a2 - b) / (k + k2)
-    if abs(arg) > 1.0:
-        return pi / 4
-    return 0.5 * float(np.arccos(arg))
-
-
 def partial_derivatives(c: PauliCoefficients, alpha: float, beta: float):
     """Analytic (d/d alpha, d/d beta) of the entanglement surface.
 
@@ -379,15 +372,15 @@ def entangling_power_c2eqc3(x: float, y: float) -> EntanglingPowerResult:
     timings = {"grid_s": t1 - t0, "refine_s": perf_counter() - t1}
 
     v0, v4 = float(vals[0]), float(vals[-1])
-    candidates = [
-        (v4, pi / 4, pi / 4, "maximally entangled (alpha=pi/4)", "line_scan"),
-        (v0, 0.0, pi / 2, "product (alpha=0 line edge)", "line_scan"),
-    ]
+    candidates = [(v, *end, "line_scan") for v, end in zip((v4, v0), _LINE_ENDS)]
     branch = "cos(2x+2y)>0"
     if cos(2 * x + 2 * y) <= 0.0:
         branch = "cos(2x+2y)<=0"
-        candidates.append(
-            (1.0, 0.0, _balanced_beta(c), "balanced boundary (alpha=0)", "boundary"))
+        # beta at alpha = 0 where both block traces equal 1/2: cos 2beta is
+        # (a2 - b) / (k + k2), which rounds a few ulps below -1 near x + y = pi/4
+        b, a2, k, k2, _, _ = _constants(c)
+        beta = 0.5 * float(np.arccos(min(max((a2 - b) / (k + k2), -1.0), 1.0)))
+        candidates.append((1.0, 0.0, beta, "balanced boundary (alpha=0)", "boundary"))
     candidates.append((v_star, a_star, pi / 2 - a_star, "line interior", "line_scan"))
     best = max(v for v, *_ in candidates)
     _, alpha, beta, tag, method = next(
@@ -455,19 +448,13 @@ def example1_power(x: float) -> EntanglingPowerResult:
     x0 = example1_threshold()
     v_prod, v_me = _example1_candidates(x)
     tie = abs(v_prod - v_me) <= TIE_TOL
-    diag = {"threshold": x0, "product_value": v_prod,
-            "max_entangled_value": v_me, "tie": tie}
-    if x <= x0 or tie:
-        return EntanglingPowerResult(
-            value=v_prod, method="closed_form",
-            critical="product (alpha=0 line edge)",
-            critical_alpha=0.0, critical_beta=pi / 2, diagnostics=diag,
-        )
+    value, (alpha, beta, tag) = ((v_prod, _LINE_ENDS[1]) if x <= x0 or tie
+                                 else (v_me, _LINE_ENDS[0]))
     return EntanglingPowerResult(
-        value=v_me, method="closed_form",
-        critical="maximally entangled (alpha=pi/4)",
-        critical_alpha=pi / 4, critical_beta=pi / 4, diagnostics=diag,
-    )
+        value=value, method="closed_form", critical=tag,
+        critical_alpha=alpha, critical_beta=beta,
+        diagnostics={"threshold": x0, "product_value": v_prod,
+                     "max_entangled_value": v_me, "tie": tie})
 
 
 def example2_power(y: float) -> EntanglingPowerResult:

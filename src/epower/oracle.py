@@ -203,7 +203,7 @@ def minimize(fun, x0, lb, ub, maxiter, xatol, fatol) -> LockstepResult:
         np.minimum(ftrial, fxr, out=f[-1])
         if shrink.size:
             s[1:, shrink] = moved
-            # passed start by start, the order the calls have always had
+            # passed start by start, each start's vertices in scipy's order
             f[1:, shrink] = fun(moved.transpose(1, 0, 2).reshape(-1, n)).reshape(-1, n).T
             nfev += shrink.size * n
         s, f = _sort_vertices(s, f, at)
@@ -357,10 +357,11 @@ def _batch_output(U, fa, fb, ws):
     each product with U is written out on float arrays: the operations of
     ``np.einsum``, so the bits are einsum's.  numpy's complex multiply
     ufunc uses FMA and does not match it; it forms psi[a, r] phi[b, t],
-    as it always has.  The planes of that product are copied out as -im,
-    re, im, so that one multiply forms u_re (re, im) and u_im (-im, re)
-    over runs of 8 P contiguous floats, which numpy runs without its
-    buffers at P = ``_CHUNK``, and one add forms each term:
+    an operand of the einsum, not one of its products.  The planes of
+    that product are copied out as -im, re, im, so that one multiply forms
+    u_re (re, im) and u_im (-im, re) over runs of 8 P contiguous floats,
+    which numpy runs without its buffers at P = ``_CHUNK``, and one add
+    forms each term:
     u_re re + (-(u_im im)) is u_re re - u_im im to the bit.  U is a
     C-contiguous complex array, read through a float view.  The
     intermediates go to ``ws``, a workspace for at least P points, and the
@@ -457,8 +458,7 @@ def _entropies(U, x, ws):
 def entanglement_of_product_input(U, *angles, **named) -> float:
     """Output entanglement across (A, R_A) : (B, R_B) for one input, given
     by the angles of a ``ProductInputParams``, in order or by name."""
-    p = ProductInputParams(*angles, **named)
-    x = np.array([[getattr(p, f.name) for f in fields(p)]], dtype=float)
+    x = np.array([astuple(ProductInputParams(*angles, **named))], dtype=float)
     return float(_entropies(np.ascontiguousarray(check_unitary(U)), x, _Workspace(1))[0])
 
 

@@ -44,6 +44,9 @@ GAP_SLACK = 1e-12
 GRID_BUDGET = 200_000
 ORACLE_RESOLUTION = 60
 ASCENT_MAX_SWEEPS = 500
+# critical tag of a full ebit, by the solver's case
+_FULL_EBIT_TAGS = {"interior": "interior stationary weights",
+                   "certificate": "stationary simplex point (full ebit)"}
 
 
 @dataclass(frozen=True)
@@ -242,7 +245,7 @@ def ebits_from_quadratic_max(y: float) -> float:
     """Entangling power in ebits for a quadratic-form maximum y in [0, 1/4]."""
     if not -1e-12 <= y <= 0.25 + 1e-12:
         raise DomainError(f"quadratic maximum {y!r} outside [0, 1/4]")
-    r = np.sqrt(max(1.0 - 4.0 * min(max(y, 0.0), 0.25), 0.0))
+    r = np.sqrt(1.0 - 4.0 * min(max(y, 0.0), 0.25))
     return shannon_entropy([(1.0 - r) / 2.0, (1.0 + r) / 2.0])
 
 
@@ -255,31 +258,19 @@ def entangling_power_phase_gate(spec: PhaseGateSpec) -> EntanglingPowerResult:
     ``simplex_oracle`` is the independent cross-check of this value.
     """
     th = np.asarray(spec.thetas)
-    n = spec.n
-    diag: dict = {}
-    if n == 3:
+    if spec.n == 3:
         res = n3_closed_form(*th)
-        max_y = res.max_y
-        if res.case == "interior":
-            critical = "interior stationary weights"
-            diag["weights"] = res.weights
-        else:
-            critical = f"pair {res.pair} at weights (1/2, 1/2)"
-            diag["pair"] = res.pair
-        diag["case"] = res.case
+        case, weights, pair, max_y = res.case, res.weights, res.pair, res.max_y
+    elif (cert := rank3_certificate(spec)) is not None:
+        case, weights, pair, max_y = "certificate", tuple(cert), None, 0.25
     else:
-        cert = rank3_certificate(spec)
-        if cert is not None:
-            max_y = 0.25
-            critical = "stationary simplex point (full ebit)"
-            diag["weights"] = tuple(cert)
-            diag["case"] = "certificate"
-        else:
-            pair, max_y = _pair_scan(th)
-            critical = f"pair {pair} at weights (1/2, 1/2)"
-            diag["pair"] = pair
-            diag["case"] = "pair"
-    diag["max_y"] = max_y
+        pair, max_y = _pair_scan(th)
+        case, weights = "pair", None
+    if case == "pair":
+        critical, diag = f"pair {pair} at weights (1/2, 1/2)", {"pair": pair}
+    else:
+        critical, diag = _FULL_EBIT_TAGS[case], {"weights": weights}
+    diag.update(case=case, max_y=max_y)
     return EntanglingPowerResult(value=ebits_from_quadratic_max(max_y),
                                  method="closed_form", critical=critical, diagnostics=diag)
 
